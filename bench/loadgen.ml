@@ -452,12 +452,6 @@ let () =
 
   if router_backends > 0 then begin
     (* --- router mode: in-process fleet, hash vs round-robin --- *)
-    let digests =
-      Array.map
-        (fun text ->
-          Flb_service.Cache.digest (Flb_taskgraph.Serial.of_string text))
-        graphs
-    in
     let run_fleet policy label =
       let servers =
         List.init router_backends (fun _ ->
@@ -519,13 +513,12 @@ let () =
     Array.iteri
       (fun i n ->
         Printf.printf "  shard %s (graph %2d): %5d ok, %7.1f req/s, primary %s\n"
-          (String.sub digests.(i) 0 8)
+          (String.sub (Flb_service.Cache.text_digest graphs.(i)) 0 8)
           i n
           (float_of_int n /. hash_phase.wall)
           (Option.value ~default:"?"
              (Ring.primary ring
-                (Printf.sprintf "%s/%s/%d" digests.(i)
-                   (String.lowercase_ascii algo) procs))))
+                (Router.shard_key ~graph:graphs.(i) ~algo ~procs))))
       hash_phase.per_shard;
     Printf.printf "per-backend (hash policy):\n";
     List.iter

@@ -7,7 +7,8 @@
     N-member ring moves only the keys that now land on the new member —
     about [1/(N+1)] of them — and removing it restores every previous
     assignment exactly. The router shards schedule requests on this
-    ring keyed by {!Flb_service.Cache.digest}, so a given graph keeps
+    ring keyed by {!Flb_service.Cache.text_digest} of the graph text —
+    the digest the backend cache keys on — so a given request keeps
     hitting the same replica set (and its warm cache) as backends come
     and go.
 

@@ -85,6 +85,7 @@ type t = {
   overloaded : Metrics.Counter.t;
   errors : Metrics.Counter.t;
   connections : Metrics.Counter.t;
+  graph_parses : Metrics.Counter.t;
   hedge_total : Metrics.Counter.t;
   hedge_wins : Metrics.Counter.t;
   gossip_rounds : Metrics.Counter.t;
@@ -117,9 +118,11 @@ let stopping t =
 
 (* The shard key is the same digest × algorithm × P triple the backend
    cache keys on (minus the dead-proc mask, which Schedule requests
-   cannot carry), so "same shard" and "same cache entry" coincide. *)
-let shard_key ~digest ~algo ~procs =
-  Printf.sprintf "%s/%s/%d" digest (String.lowercase_ascii algo) procs
+   cannot carry), with the digest from the same function, so "same
+   shard" and "same cache entry" coincide for any text. *)
+let shard_key ~graph ~algo ~procs =
+  Printf.sprintf "%s/%s/%d" (Cache.text_digest graph)
+    (String.lowercase_ascii algo) procs
 
 let rotation t =
   let n = Array.length t.backends in
@@ -142,12 +145,11 @@ let backend_counters t b =
     t.per_backend;
   !found
 
+(* The first backend answer along [cands], or [None] once every
+   candidate (if any) has failed in transport. *)
 let attempt_chain t ~trace_id request cands =
   let rec attempt tried = function
-    | [] ->
-      (* Every candidate failed (or none existed): shed with a
-         structured response rather than hang or leak an exception. *)
-      Wire.Overloaded
+    | [] -> None
     | b :: rest -> (
       match
         Backend.call ~trace_id ~connect_timeout_s:t.config.connect_timeout_s
@@ -157,7 +159,7 @@ let attempt_chain t ~trace_id request cands =
         (match backend_counters t b with
         | Some (_, fwd, _) -> Metrics.Counter.incr fwd
         | None -> ());
-        resp
+        Some resp
       | Error _ ->
         (match backend_counters t b with
         | Some (_, _, fl) -> Metrics.Counter.incr fl
@@ -182,13 +184,13 @@ type hedge_cell = {
   hlock : Mutex.t;
   hcond : Condition.t;
   mutable best : Wire.response option; (* first non-Overloaded answer *)
-  mutable fallback : Wire.response option; (* some answer, if none good *)
+  mutable fallback : Wire.response option; (* a backend answer, if none good *)
   mutable winner_secondary : bool;
   mutable pending : int; (* chains launched and not yet finished *)
   mutable launched_secondary : bool;
 }
 
-let hedge_good = function Wire.Overloaded -> false | _ -> true
+let hedge_good = function Some Wire.Overloaded | None -> false | Some _ -> true
 
 (* Hedged forward: run the normal failover chain; if it has not
    answered after [delay], launch a second chain starting from the next
@@ -211,10 +213,10 @@ let forward_hedged t ~trace_id ~delay request ~first ~others =
     Mutex.lock cell.hlock;
     cell.pending <- cell.pending - 1;
     if hedge_good resp && cell.best = None then begin
-      cell.best <- Some resp;
+      cell.best <- resp;
       cell.winner_secondary <- secondary
     end
-    else if cell.fallback = None then cell.fallback <- Some resp;
+    else if cell.fallback = None then cell.fallback <- resp;
     Condition.broadcast cell.hcond;
     Mutex.unlock cell.hlock
   in
@@ -223,8 +225,7 @@ let forward_hedged t ~trace_id ~delay request ~first ~others =
       (Thread.create
          (fun () ->
            let r =
-             try attempt_chain t ~trace_id request cands
-             with _ -> Wire.Overloaded
+             try attempt_chain t ~trace_id request cands with _ -> None
            in
            record ~secondary r)
          ())
@@ -252,11 +253,7 @@ let forward_hedged t ~trace_id ~delay request ~first ~others =
   while cell.best = None && cell.pending > 0 do
     Condition.wait cell.hcond cell.hlock
   done;
-  let resp =
-    match cell.best with
-    | Some r -> r
-    | None -> Option.value ~default:Wire.Overloaded cell.fallback
-  in
+  let resp = match cell.best with Some _ as r -> r | None -> cell.fallback in
   let win = cell.winner_secondary in
   let hedged = cell.launched_secondary in
   Mutex.unlock cell.hlock;
@@ -268,19 +265,16 @@ let forward_hedged t ~trace_id ~delay request ~first ~others =
       ~args:[ ("delay_ms", delay *. 1000.0); ("win", if win then 1.0 else 0.0) ];
   resp
 
+(* A backend's answer, or [None] when every candidate failed. *)
 let forward t ~trace_id ~key ~hot request =
   let cands = candidates t key ~hot in
-  let finish resp =
-    if resp = Wire.Overloaded then Metrics.Counter.incr t.overloaded;
-    resp
-  in
   (* Only hot shards hedge: cold traffic is deliberately routed
      primary-first to warm one cache, and a duplicate would just smear
      the shard across replicas. *)
   match (cands, if hot then hedge_delay_s t else None) with
-  | ([] | [ _ ]), _ | _, None -> finish (attempt_chain t ~trace_id request cands)
+  | ([] | [ _ ]), _ | _, None -> attempt_chain t ~trace_id request cands
   | first :: others, Some delay ->
-    finish (forward_hedged t ~trace_id ~delay request ~first ~others)
+    forward_hedged t ~trace_id ~delay request ~first ~others
 
 (* --- gossip & cache warming --- *)
 
@@ -406,30 +400,39 @@ let merge_digest t digest =
   apply_status_changes t changed;
   refresh_splits t
 
+(* Every candidate failed, so no backend judged the graph. Parse it
+   here — the router's only parse — so a malformed graph still gets a
+   structured [Invalid_graph]; a well-formed one is shed. *)
+let unanswered t graph =
+  Metrics.Counter.incr t.graph_parses;
+  match Serial.of_string graph with
+  | exception Serial.Parse_error { line; message } ->
+    Wire.Error
+      {
+        code = Wire.Invalid_graph;
+        message = Printf.sprintf "graph line %d: %s" line message;
+      }
+  | _ -> Wire.Overloaded
+
 let handle_schedule t ~trace_id ~graph ~algo ~procs =
   let started = now () in
+  let key = shard_key ~graph ~algo ~procs in
+  let prior = Balancer.note t.balancer key in
   let resp =
-    match Serial.of_string graph with
-    | exception Serial.Parse_error { line; message } ->
-      (* No backend would accept it either; answer locally and save the
-         round trip. *)
-      Wire.Error
-        {
-          code = Wire.Invalid_graph;
-          message = Printf.sprintf "graph line %d: %s" line message;
-        }
-    | g ->
-      let key = shard_key ~digest:(Cache.digest g) ~algo ~procs in
-      store_warm t key (graph, algo, procs);
-      let prior = Balancer.note t.balancer key in
+    match
       forward t ~trace_id ~key ~hot:(prior > 0)
         (Wire.Schedule { graph; algo; procs })
+    with
+    | Some resp -> resp
+    | None -> unanswered t graph
   in
   (match resp with
   | Wire.Scheduled { cache_hit; _ } ->
+    (* Only a graph some backend scheduled is worth replaying. *)
+    store_warm t key (graph, algo, procs);
     Metrics.Counter.incr t.scheduled;
     if cache_hit then Metrics.Counter.incr t.upstream_hits
-  | Wire.Overloaded -> () (* counted where it was decided *)
+  | Wire.Overloaded -> Metrics.Counter.incr t.overloaded
   | Wire.Error _ -> Metrics.Counter.incr t.errors
   | _ -> ());
   Metrics.Histogram.observe t.latency (now () -. started);
@@ -652,8 +655,9 @@ let handle_conn t fd =
   Fun.protect
     ~finally:(fun () ->
       Atomic.decr t.active_conns;
-      close_out_noerr oc;
-      close_in_noerr ic)
+      (* One flush, one close: [ic] shares [fd] and is dropped unclosed
+         (see [Client.close]). *)
+      close_out_noerr oc)
     loop
 
 (* --- health, accept, lifecycle --- *)
@@ -813,6 +817,12 @@ let start ?metrics (config : config) =
       connections =
         Metrics.counter registry ~help:"client connections accepted"
           "router_connections_total";
+      graph_parses =
+        Metrics.counter registry
+          ~help:
+            "Schedule graphs parsed by the router (only once every candidate \
+             replica has failed)"
+          "router_graph_parses_total";
       hedge_total =
         Metrics.counter registry
           ~help:"hedged requests (second replica raced after the delay)"

@@ -2,15 +2,19 @@
     [flb serve] replicas.
 
     The router speaks the {!Flb_service.Wire} framing on both sides. A
-    Schedule request is parsed just enough to compute its shard key —
-    {!Flb_service.Cache.digest} of the graph × algorithm × P — and the
-    key picks a replica set on a consistent-hash {!Ring}. Cold shards go
-    primary-first so exactly one cache warms per shard; hot shards go to
-    the least-loaded replica; saturated shards split across more
-    replicas ({!Balancer}). A transport failure (connect refused,
-    deadline, backend killed mid-request) re-enqueues the request on the
-    next candidate — the client sees a normal response or a structured
-    [Overloaded], never a hang.
+    Schedule request's shard key — {!Flb_service.Cache.text_digest} of
+    its graph text × algorithm × P, the backend's own cache key — picks
+    a replica set on a consistent-hash {!Ring}; the router never parses
+    the graph on the way. Cold shards go primary-first so exactly one
+    cache warms per shard; hot shards go to the least-loaded replica;
+    saturated shards split across more replicas ({!Balancer}). A
+    transport failure (connect refused, deadline, backend killed
+    mid-request) re-enqueues the request on the next candidate — the
+    client sees a normal response or a structured [Overloaded], never a
+    hang. Only when every candidate has failed does the router parse the
+    graph, so that a malformed one is still answered [Invalid_graph]
+    rather than [Overloaded] ([router_graph_parses_total] counts these
+    parses).
 
     Everything else is answered locally: [Ping] → [Pong], [Get_metrics]
     / [Get_stats] from the router's own registry (with a per-backend
@@ -77,12 +81,13 @@ val default_config : config
 
 type t
 
-val shard_key : digest:string -> algo:string -> procs:int -> string
-(** The ring key of a Schedule request: the {!Flb_service.Cache.digest}
-    of its graph, the case-folded algorithm, and the processor count —
-    the same triple the backend cache keys on, so "same shard" and
-    "same cache entry" coincide. Exposed so tests (and operators) can
-    predict placement. *)
+val shard_key : graph:string -> algo:string -> procs:int -> string
+(** The ring key of a Schedule request: {!Flb_service.Cache.text_digest}
+    of its graph text, the case-folded algorithm, and the processor
+    count — the same triple, digested by the same function, that
+    {!Flb_service.Cache.key} builds, so "same shard" and "same cache
+    entry" coincide for any text, canonical or not. Exposed so tests
+    (and operators) can predict placement. *)
 
 val start : ?metrics:Flb_obs.Metrics.t -> config -> t
 (** Bind, listen, and serve in background threads until {!stop}.

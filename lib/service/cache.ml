@@ -43,13 +43,17 @@ let create ?metrics ~capacity () =
         "cache_bypass_total";
   }
 
+(* Both the cache key and the router's shard key hash the request's
+   graph text byte for byte, through this one function, so "same shard"
+   and "same cache entry" agree for any text — and neither side has to
+   parse the graph to find either. *)
+let text_digest graph = Digest.to_hex (Digest.string graph)
+
 (* The digest of a graph is taken over its canonical serialization, so
    it is a pure function of the graph's structure and weights — two
    fresh constructions of the same graph digest byte-identically,
-   whatever path each took through Builder/of_arrays/of_string. The
-   sharded router keys its consistent-hash ring on this digest, so this
-   stability is what makes routing deterministic across processes. *)
-let digest g = Digest.to_hex (Digest.string (Flb_taskgraph.Serial.to_string g))
+   whatever path each took through Builder/of_arrays/of_string. *)
+let digest g = text_digest (Flb_taskgraph.Serial.to_string g)
 
 (* The processor mask is part of the key: a schedule computed for a
    degraded machine (some processors masked dead, e.g. by a
@@ -65,7 +69,7 @@ let key_of_digest ~dead ~digest ~algo ~procs =
   Printf.sprintf "%s/%s/%d/%s" digest (String.lowercase_ascii algo) procs mask
 
 let key ~dead ~graph ~algo ~procs =
-  key_of_digest ~dead ~digest:(Digest.to_hex (Digest.string graph)) ~algo ~procs
+  key_of_digest ~dead ~digest:(text_digest graph) ~algo ~procs
 
 let with_lock t f =
   Mutex.lock t.lock;

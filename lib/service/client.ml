@@ -56,8 +56,10 @@ let connect ?(host = "127.0.0.1") ?connect_timeout_s ?io_timeout_s ~port () =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    close_out_noerr t.oc;
-    close_in_noerr t.ic
+    (* [ic] and [oc] share [fd]. Closing both would close the descriptor
+       twice, and the second close could hit a socket another thread
+       opened in between; so flush and close it once, through [oc]. *)
+    close_out_noerr t.oc
   end
 
 let last_trace_id t = t.last_trace_id

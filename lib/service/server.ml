@@ -111,6 +111,7 @@ type t = {
   overloaded : Metrics.Counter.t;
   errors : Metrics.Counter.t;
   connections : Metrics.Counter.t;
+  graph_parses : Metrics.Counter.t;
   queue_depth : Metrics.Gauge.t;
   latency : Metrics.Histogram.t;
   queue_wait_seconds : Metrics.Histogram.t;
@@ -151,7 +152,7 @@ let span srv ctx name ~ts ~dur args =
     Mutex.unlock srv.trace_lock
   end
 
-let compute srv ~ctx ~graph_text ~algo ~procs g (a : Registry.t) =
+let compute srv ~ctx ~key ~procs g (a : Registry.t) =
   if srv.config.work_delay_s > 0.0 then Unix.sleepf srv.config.work_delay_s;
   let machine = Machine.clique ~num_procs:procs in
   let tracer = srv.config.tracer in
@@ -181,7 +182,7 @@ let compute srv ~ctx ~graph_text ~algo ~procs g (a : Registry.t) =
       nsl = Flb_platform.Metrics.nsl s ~reference:mcp_len;
     }
   in
-  Cache.add srv.cache (Cache.key ~dead:[] ~graph:graph_text ~algo ~procs) result;
+  Cache.add srv.cache key result;
   (result, sched_s)
 
 let scheduled_response ~cache_hit ~breakdown { schedule; makespan; speedup; nsl } =
@@ -217,28 +218,31 @@ let handle_schedule srv ~ctx ~graph ~algo ~procs =
                  (String.concat ", " (Registry.names Registry.extended_set));
            })
     | Some a -> (
-      match Serial.of_string graph with
-      | exception Serial.Parse_error { line; message } ->
-        finish
-          (Wire.Error
-             {
-               code = Wire.Invalid_graph;
-               message = Printf.sprintf "graph line %d: %s" line message;
-             })
-      | g ->
-        let ts_cache = Trace.now srv.config.tracer in
-        let t_cache = now () in
-        let key = Cache.key ~dead:[] ~graph ~algo ~procs in
-        let hit = Cache.find srv.cache key in
-        let cache_s = now () -. t_cache in
-        Metrics.Histogram.observe srv.cache_seconds cache_s;
-        span srv ctx "cache" ~ts:ts_cache ~dur:cache_s
-          [ ("hit", if hit = None then 0.0 else 1.0) ];
-        (match hit with
-        | Some cached ->
-          let breakdown = { Wire.no_breakdown with cache_s } in
-          finish (scheduled_response ~cache_hit:true ~breakdown cached)
-        | None ->
+      let ts_cache = Trace.now srv.config.tracer in
+      let t_cache = now () in
+      let key = Cache.key ~dead:[] ~graph ~algo ~procs in
+      let hit = Cache.find srv.cache key in
+      let cache_s = now () -. t_cache in
+      Metrics.Histogram.observe srv.cache_seconds cache_s;
+      span srv ctx "cache" ~ts:ts_cache ~dur:cache_s
+        [ ("hit", if hit = None then 0.0 else 1.0) ];
+      match hit with
+      | Some cached ->
+        let breakdown = { Wire.no_breakdown with cache_s } in
+        finish (scheduled_response ~cache_hit:true ~breakdown cached)
+      | None -> (
+        (* Only a miss needs the graph itself: bytes that hit were
+           parsed when their entry was filled. *)
+        Metrics.Counter.incr srv.graph_parses;
+        match Serial.of_string graph with
+        | exception Serial.Parse_error { line; message } ->
+          finish
+            (Wire.Error
+               {
+                 code = Wire.Invalid_graph;
+                 message = Printf.sprintf "graph line %d: %s" line message;
+               })
+        | g ->
           let ivar = Ivar.create () in
           let enqueued = now () in
           let ts_enqueued = Trace.now srv.config.tracer in
@@ -258,7 +262,7 @@ let handle_schedule srv ~ctx ~graph ~algo ~procs =
             else begin
               let ts_exec = Trace.now srv.config.tracer in
               let t_exec = now () in
-              match compute srv ~ctx ~graph_text:graph ~algo ~procs g a with
+              match compute srv ~ctx ~key ~procs g a with
               | result, sched_s ->
                 let exec_s = now () -. t_exec in
                 Metrics.Histogram.observe srv.exec_seconds exec_s;
@@ -604,8 +608,9 @@ let handle_conn srv fd =
   Fun.protect
     ~finally:(fun () ->
       unregister_conn srv info;
-      close_out_noerr oc;
-      close_in_noerr ic)
+      (* One flush, one close: [ic] shares [fd] and is dropped unclosed
+         (see [Client.close]). *)
+      close_out_noerr oc)
     loop
 
 (* --- accept loop and lifecycle --- *)
@@ -707,6 +712,10 @@ let start ?metrics config =
       connections =
         Metrics.counter registry ~help:"connections accepted"
           "service_connections_total";
+      graph_parses =
+        Metrics.counter registry
+          ~help:"Schedule graphs parsed (once per cache miss, never on a hit)"
+          "service_graph_parses_total";
       queue_depth =
         Metrics.gauge registry ~help:"jobs waiting in the pool queue"
           "service_queue_depth";

@@ -13,6 +13,7 @@ module Backend = Flb_router.Backend
 module Balancer = Flb_router.Balancer
 module Gossip = Flb_router.Gossip
 module Router = Flb_router.Router
+module Metrics = Flb_obs.Metrics
 
 (* --- ring --- *)
 
@@ -240,8 +241,9 @@ let graph_with_primary ~ids ~want ~procs =
         build_dag
           { layers = 3; max_width = 3; edge_probability = 0.5; ccr = 1.0; seed }
       in
-      let key = Router.shard_key ~digest:(Cache.digest g) ~algo:"FLB" ~procs in
-      if Ring.primary ring key = Some want then Serial.to_string g else go (seed + 1)
+      let graph = Serial.to_string g in
+      let key = Router.shard_key ~graph ~algo:"FLB" ~procs in
+      if Ring.primary ring key = Some want then graph else go (seed + 1)
   in
   go 0
 
@@ -773,6 +775,204 @@ let test_router_hedging () =
                   | Error msg -> Alcotest.fail msg);
               ignore router)))
 
+(* --- parse once --- *)
+
+(* The value of counter [name] in a Prometheus exposition. Fails when
+   the counter or its HELP line is missing, so a misspelt name cannot
+   pass a check for zero. *)
+let counter_in text name =
+  let lines = String.split_on_char '\n' text in
+  if
+    not
+      (List.exists
+         (String.starts_with ~prefix:(Printf.sprintf "# HELP %s " name))
+         lines)
+  then Alcotest.failf "%s has no HELP text" name;
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> int_of_string_opt v
+        | _ -> None)
+      lines
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "no counter %s" name
+
+let expect_invalid_graph = function
+  | Ok (Wire.Error { code = Wire.Invalid_graph; _ }) -> ()
+  | Ok _ -> Alcotest.fail "malformed graph not answered Invalid_graph"
+  | Error msg -> Alcotest.failf "transport error: %s" msg
+
+let test_router_parses_once () =
+  let graphs =
+    [
+      fig1_text ();
+      (* the same graph under other text: its own shard and entry *)
+      fig1_text () ^ "# same graph, other text\n";
+      Serial.to_string (small_graph ());
+    ]
+  in
+  let k = 5 in
+  with_servers 2 (fun servers ->
+      let backends = List.map (fun s -> ("127.0.0.1", Server.port s)) servers in
+      with_router backends (fun router port ->
+          with_client port (fun c ->
+              for _ = 1 to k do
+                List.iter
+                  (fun graph ->
+                    ignore
+                      (expect_scheduled
+                         (Client.schedule c ~graph ~algo:"FLB" ~procs:2)))
+                  graphs
+              done;
+              (* a live fleet judges a malformed graph itself *)
+              expect_invalid_graph
+                (Client.schedule c ~graph:"not a graph" ~algo:"FLB" ~procs:2));
+          check_int "the router parsed nothing" 0
+            (counter_in
+               (Metrics.to_prometheus (Router.metrics router))
+               "router_graph_parses_total");
+          let parses =
+            List.fold_left
+              (fun acc s ->
+                let text = Metrics.to_prometheus (Server.metrics s) in
+                let parses = counter_in text "service_graph_parses_total" in
+                check_int "a daemon parses exactly its cache misses"
+                  (counter_in text "cache_misses_total")
+                  parses;
+                acc + parses)
+              0 servers
+          in
+          (* k rounds, yet each graph misses at most once per replica,
+             plus the malformed one: the repeats were hits, unparsed *)
+          check_bool "hits were not parsed" true
+            (parses <= (2 * List.length graphs) + 1)));
+  (* A dead fleet: the router parses once to tell a malformed graph
+     (an error) from a well-formed one (shed as Overloaded). *)
+  with_router ~connect_timeout_s:0.2
+    [ ("127.0.0.1", dead_port ()) ]
+    (fun _router port ->
+      with_client port (fun c ->
+          expect_invalid_graph
+            (Client.schedule c ~graph:"not a graph" ~algo:"FLB" ~procs:2);
+          let m = Result.get_ok (Client.get_metrics c) in
+          check_int "one parse" 1 (counter_in m "router_graph_parses_total");
+          check_int "counted as an error" 1 (counter_in m "router_errors_total");
+          check_int "not counted as overloaded" 0
+            (counter_in m "router_overloaded_total");
+          (match Client.schedule c ~graph:(fig1_text ()) ~algo:"FLB" ~procs:2 with
+          | Ok Wire.Overloaded -> ()
+          | _ -> Alcotest.fail "well-formed graph on a dead fleet not shed");
+          let m = Result.get_ok (Client.get_metrics c) in
+          check_int "second parse" 2 (counter_in m "router_graph_parses_total");
+          check_int "shed counted as overloaded" 1
+            (counter_in m "router_overloaded_total")))
+
+(* Router shards and daemon cache entries agree for any text: both keys
+   take their digest from [Cache.text_digest], canonical or not. *)
+let qsuite_keys =
+  [
+    qtest ~count:100 "shard key and cache key share one text digest"
+      arb_scheduling_case
+      (fun (p, procs) ->
+        let canonical = Serial.to_string (build_dag p) in
+        let variants =
+          [
+            canonical;
+            canonical ^ "# appended comment\n";
+            String.map (fun ch -> if ch = ' ' then '\t' else ch) canonical;
+            String.concat "\r\n" (String.split_on_char '\n' canonical);
+          ]
+        in
+        let digest_of key = List.hd (String.split_on_char '/' key) in
+        List.for_all
+          (fun graph ->
+            digest_of (Router.shard_key ~graph ~algo:"FLB" ~procs)
+            = digest_of (Cache.key ~dead:[] ~graph ~algo:"flb" ~procs))
+          variants
+        (* the digest is over bytes: every variant is its own entry *)
+        && List.length (List.sort_uniq compare (List.map Cache.text_digest variants))
+           = List.length variants);
+  ]
+
+(* --- descriptor hygiene --- *)
+
+let test_connection_churn () =
+  (* Short-lived connections open and close as fast as they can against
+     a daemon and a router while long-lived clients keep scheduling. A
+     descriptor closed twice would sooner or later close a connection
+     opened in between, on either side, and show up here as a transport
+     error. *)
+  with_servers 2 (fun servers ->
+      let backends = List.map (fun s -> ("127.0.0.1", Server.port s)) servers in
+      let daemon = Server.port (List.hd servers) in
+      with_router backends (fun _router router ->
+          let errors = Atomic.make 0 in
+          let first_error = Atomic.make "" in
+          let fail msg =
+            Atomic.incr errors;
+            ignore (Atomic.compare_and_set first_error "" msg)
+          in
+          let pings = Atomic.make 0 and schedules = Atomic.make 0 in
+          let deadline = Unix.gettimeofday () +. 1.0 in
+          let churn port () =
+            while Unix.gettimeofday () < deadline do
+              match Client.connect ~port ~io_timeout_s:5.0 () with
+              | exception e -> fail (Printexc.to_string e)
+              | c ->
+                (match Client.ping c with
+                | Ok () -> Atomic.incr pings
+                | Error msg -> fail msg);
+                Client.close c
+            done
+          in
+          let steady port () =
+            match Client.connect ~port ~io_timeout_s:5.0 () with
+            | exception e -> fail (Printexc.to_string e)
+            | c ->
+              while Unix.gettimeofday () < deadline do
+                match
+                  Client.schedule c ~graph:(fig1_text ()) ~algo:"FLB" ~procs:2
+                with
+                | Ok (Wire.Scheduled _) -> Atomic.incr schedules
+                | Ok _ -> fail "schedule not answered Scheduled"
+                | Error msg -> fail msg
+              done;
+              Client.close c
+          in
+          let workers =
+            [
+              churn daemon; churn daemon; churn router; churn router;
+              steady daemon; steady router;
+            ]
+          in
+          let finished = Atomic.make 0 in
+          let threads =
+            List.map
+              (fun f ->
+                Thread.create
+                  (fun () -> Fun.protect ~finally:(fun () -> Atomic.incr finished) f)
+                  ())
+              workers
+          in
+          (* A socket whose descriptor was closed under it can block a
+             worker forever: fail instead of hanging the suite. *)
+          let give_up = deadline +. 10.0 in
+          while
+            Atomic.get finished < List.length workers
+            && Unix.gettimeofday () < give_up
+          do
+            Thread.delay 0.05
+          done;
+          Alcotest.(check string) "first transport error" "" (Atomic.get first_error);
+          check_int "every worker finished" (List.length workers)
+            (Atomic.get finished);
+          List.iter Thread.join threads;
+          check_int "zero transport errors" 0 (Atomic.get errors);
+          check_bool "connections churned" true (Atomic.get pings > 50);
+          check_bool "schedules kept flowing" true (Atomic.get schedules > 10)))
+
 let suite =
   [
     Alcotest.test_case "ring: determinism, distinctness, membership" `Quick
@@ -810,6 +1010,11 @@ let suite =
       test_router_drain;
     Alcotest.test_case "router: hedged request beats a stalled primary" `Quick
       test_router_hedging;
+    Alcotest.test_case "router: graphs parsed once, on misses only" `Quick
+      test_router_parses_once;
+    Alcotest.test_case "connection churn closes each descriptor once" `Quick
+      test_connection_churn;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite_ring
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite_gossip
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite_keys
