@@ -604,7 +604,15 @@ let execute_cmd =
       | "steal" -> R.Engine.Steal_queues
       | "resched" -> R.Engine.Resched "FLB"
       | s when String.length s > 8 && String.sub s 0 8 = "resched:" ->
-        R.Engine.Resched (String.sub recover_s 8 (String.length recover_s - 8))
+        let a = String.sub recover_s 8 (String.length recover_s - 8) in
+        if Flb_reschedule.Reschedule.find a = None then begin
+          prerr_endline
+            (Printf.sprintf
+               "bad --recover: unknown reschedule algorithm %s (available: %s)" a
+               (String.concat ", " Flb_reschedule.Reschedule.names));
+          exit 2
+        end;
+        R.Engine.Resched a
       | _ ->
         prerr_endline
           ("bad --recover: expected none, steal or resched[:ALGO], got "
@@ -648,61 +656,33 @@ let execute_cmd =
         Printf.printf "wrote %s\n" out
     in
     if virt then begin
-      if faults = R.Fault.none then begin
-        let o =
-          match engine with
-          | `Static -> R.Virtual_clock.run_static (sched_for_static ())
-          | `Steal -> R.Virtual_clock.run_steal ~charge_comm:(not no_comm) ~domains g
-          | `Affinity algo_o ->
-            R.Virtual_clock.run_affinity ~charge_comm:(not no_comm)
-              (sched_for_affinity algo_o)
-        in
-        Printf.printf "virtual clock: makespan %g, %d steals\n"
-          o.R.Virtual_clock.makespan o.R.Virtual_clock.steals;
-        (match engine with
-        | `Affinity _ ->
-          Printf.printf "  hint hits %d, misses %d\n" o.R.Virtual_clock.hint_hits
-            o.R.Virtual_clock.hint_misses
-        | `Static | `Steal -> ());
-        Array.iteri
-          (fun d n -> Printf.printf "  D%d: %d tasks\n" d n)
-          o.R.Virtual_clock.per_domain_tasks;
-        write_virtual_trace ~start:o.R.Virtual_clock.start
-          ~finish:o.R.Virtual_clock.finish
-          ~exec_domain:o.R.Virtual_clock.exec_domain
-          ~num_domains:(Array.length o.R.Virtual_clock.per_domain_tasks)
-      end
-      else begin
-        let o =
-          match engine with
-          | `Static ->
-            R.Virtual_clock.run_static_faulty ~faults ~recover (sched_for_static ())
-          | `Steal ->
-            R.Virtual_clock.run_steal_faulty ~charge_comm:(not no_comm) ~faults
-              ~domains g
-          | `Affinity algo_o ->
-            R.Virtual_clock.run_affinity_faulty ~charge_comm:(not no_comm) ~faults
-              (sched_for_affinity algo_o)
-        in
+      let (o : R.Virtual_clock.outcome) =
+        match engine with
+        | `Static -> R.Virtual_clock.run_static ~faults ~recover (sched_for_static ())
+        | `Steal ->
+          R.Virtual_clock.run_steal ~charge_comm:(not no_comm) ~faults ~domains g
+        | `Affinity algo_o ->
+          R.Virtual_clock.run_affinity ~charge_comm:(not no_comm) ~faults
+            (sched_for_affinity algo_o)
+      in
+      if faults = R.Fault.none then
+        Printf.printf "virtual clock: makespan %g, %d steals\n" o.makespan o.steals
+      else
         Printf.printf
           "virtual clock (%s recovery): makespan %g, %d/%d tasks, %d killed, %d \
            rescheds, %d recovered, %d steals\n"
           (R.Engine.recovery_to_string recover)
-          o.R.Virtual_clock.makespan o.R.Virtual_clock.completed
-          o.R.Virtual_clock.total o.R.Virtual_clock.killed
-          o.R.Virtual_clock.rescheds o.R.Virtual_clock.recovered
-          o.R.Virtual_clock.steals;
-        Array.iteri
-          (fun d n -> Printf.printf "  D%d: %d tasks\n" d n)
-          o.R.Virtual_clock.per_domain_tasks;
-        write_virtual_trace ~start:o.R.Virtual_clock.start
-          ~finish:o.R.Virtual_clock.finish
-          ~exec_domain:o.R.Virtual_clock.exec_domain
-          ~num_domains:(Array.length o.R.Virtual_clock.per_domain_tasks);
-        if not (R.Virtual_clock.faulty_complete o) then begin
-          prerr_endline "execution incomplete (work was lost to kills)";
-          exit 1
-        end
+          o.makespan o.completed o.total o.killed o.rescheds o.recovered o.steals;
+      (match engine with
+      | `Affinity _ ->
+        Printf.printf "  hint hits %d, misses %d\n" o.hint_hits o.hint_misses
+      | `Static | `Steal -> ());
+      Array.iteri (fun d n -> Printf.printf "  D%d: %d tasks\n" d n) o.per_domain_tasks;
+      write_virtual_trace ~start:o.start ~finish:o.finish ~exec_domain:o.exec_domain
+        ~num_domains:(Array.length o.per_domain_tasks);
+      if not (R.Virtual_clock.complete o) then begin
+        prerr_endline "execution incomplete (work was lost to kills)";
+        exit 1
       end
     end
     else begin

@@ -38,7 +38,7 @@ let run ?(algorithm = Registry.flb) ?suite ?(ccr = 0.2)
           let victim = domains - 1 in
           let at = kill_frac *. predicted in
           let faults = [ Runtime.Fault.Kill { domain = victim; at } ] in
-          let vc recover = Runtime.Virtual_clock.run_static_faulty ~faults ~recover sched in
+          let vc recover = Runtime.Virtual_clock.run_static ~faults ~recover sched in
           let none = vc Runtime.Engine.No_recovery in
           let steal = vc Runtime.Engine.Steal_queues in
           let resched = vc (Runtime.Engine.Resched resched_algo) in

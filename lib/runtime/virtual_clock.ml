@@ -8,280 +8,6 @@ type outcome = {
   finish : float array;
   exec_domain : int array;
   makespan : float;
-  per_domain_tasks : int array;
-  steals : int;
-  hint_hits : int;
-  hint_misses : int;
-}
-
-(* The event-driven simulator dispatches a processor's head task at the
-   later of "processor became idle" and "last message arrived", where a
-   zero-latency message arrives at the sender's exact finish float and a
-   positive-latency one at [finish +. latency]. Those event times are
-   reproduced here by a fixpoint sweep over the per-processor queues —
-   same floats in, same float operations, bit-identical times out. *)
-let run_static sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let p = Schedule.num_procs sched in
-  let queues = Array.map Array.of_list (Engine.plan_of_schedule sched) in
-  let qpos = Array.make p 0 in
-  let proc_free = Array.make p 0.0 in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let executed = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for pr = 0 to p - 1 do
-      let head_runs = ref true in
-      while !head_runs do
-        if qpos.(pr) >= Array.length queues.(pr) then head_runs := false
-        else begin
-          let t = queues.(pr).(qpos.(pr)) in
-          if pending.(t) > 0 then head_runs := false
-          else begin
-            let at = ref proc_free.(pr) in
-            Taskgraph.iter_preds g t (fun pd w ->
-                let latency =
-                  Machine.comm_time machine ~src:(Schedule.proc sched pd) ~dst:pr
-                    ~cost:w
-                in
-                let arrival =
-                  if latency = 0.0 then finish.(pd) else finish.(pd) +. latency
-                in
-                at := Float.max !at arrival);
-            start.(t) <- !at;
-            finish.(t) <- !at +. Taskgraph.comp g t;
-            proc_free.(pr) <- finish.(t);
-            Taskgraph.iter_succs g t (fun s _ -> pending.(s) <- pending.(s) - 1);
-            qpos.(pr) <- qpos.(pr) + 1;
-            incr executed;
-            progress := true
-          end
-        end
-      done
-    done
-  done;
-  if !executed < n then
-    invalid_arg "Virtual_clock.run_static: replay deadlocked (inconsistent order)";
-  {
-    start;
-    finish;
-    exec_domain = Array.init n (Schedule.proc sched);
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks = Array.map Array.length queues;
-    steals = 0;
-    (* Every task runs exactly where the schedule placed it. *)
-    hint_hits = n;
-    hint_misses = 0;
-  }
-
-let run_steal ?(charge_comm = true) ~domains g =
-  if domains < 1 then invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
-  let n = Taskgraph.num_tasks g in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  let deques = Array.init domains (fun _ -> Deque.create ()) in
-  let next = ref 0 in
-  for t = 0 to n - 1 do
-    if Taskgraph.in_degree g t = 0 then begin
-      Deque.push_back deques.(!next mod domains) t;
-      incr next
-    end
-  done;
-  let vt = Array.make domains 0.0 in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let executed = ref 0 in
-  while !executed < n do
-    (* The earliest-free domain acts next; ties to the lowest id. *)
-    let d = ref 0 in
-    for i = 1 to domains - 1 do
-      if vt.(i) < vt.(!d) then d := i
-    done;
-    let d = !d in
-    let task =
-      match Deque.pop_back deques.(d) with
-      | Some _ as t -> t
-      | None ->
-        let found = ref None in
-        for k = 1 to domains - 1 do
-          if !found = None then begin
-            match Deque.take_front deques.((d + k) mod domains) with
-            | Some _ as t ->
-              incr steals;
-              found := t
-            | None -> ()
-          end
-        done;
-        !found
-    in
-    match task with
-    | None ->
-      (* Unreachable on a DAG: every unexecuted task with indegree 0 sits
-         in exactly one deque, and some such task must exist. *)
-      invalid_arg "Virtual_clock.run_steal: no runnable task (graph has a cycle?)"
-    | Some t ->
-      let ready = ref 0.0 in
-      Taskgraph.iter_preds g t (fun pd w ->
-          let r =
-            if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-            else finish.(pd)
-          in
-          ready := Float.max !ready r);
-      let s = Float.max vt.(d) !ready in
-      start.(t) <- s;
-      finish.(t) <- s +. Taskgraph.comp g t;
-      vt.(d) <- finish.(t);
-      exec_domain.(t) <- d;
-      per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-      incr executed;
-      Taskgraph.iter_succs g t (fun su _ ->
-          pending.(su) <- pending.(su) - 1;
-          if pending.(su) = 0 then Deque.push_back deques.(d) su)
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks;
-    steals = !steals;
-    (* A task's hint is the deque it was placed in, so each steal is
-       exactly one miss — matching the real engine's accounting. *)
-    hint_hits = n - !steals;
-    hint_misses = !steals;
-  }
-
-(* Deterministic rendition of {!Affinity.run}: domains act in
-   lowest-virtual-time-first order (ties to the lowest id); each deque is
-   seeded with its scheduled entry tasks and a newly enabled task is
-   routed to the deque of its hinted (scheduled) processor. An empty
-   domain steals half of the {e deepest} other deque — the load-aware
-   victim rule, with the random two-victim probe collapsed to its
-   deterministic limit — runs the oldest stolen task and keeps the rest
-   at its own front. Each stolen task whose hint is not the thief is
-   stamped with a transfer deadline — steal instant plus
-   [Machine.comm_time] for its heaviest in-edge — and may not start
-   before it, exactly as the real engine prices migration (transfers
-   overlap with whatever the thief runs first). *)
-let run_affinity ?(charge_comm = true) sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let domains = Schedule.num_procs sched in
-  let mig_cost =
-    Array.init n (fun t ->
-        let m = ref 0.0 in
-        Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
-        !m)
-  in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  (* Reversed so the owner's LIFO back yields schedule order, as in the
-     real engine's seeding. *)
-  let deques =
-    Array.map
-      (fun tasks ->
-        Deque.of_list
-          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
-      (Engine.plan_of_schedule sched)
-  in
-  let vt = Array.make domains 0.0 in
-  let mig_deadline = Array.make n 0.0 in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let hint_hits = ref 0 in
-  let hint_misses = ref 0 in
-  let executed = ref 0 in
-  while !executed < n do
-    let d = ref 0 in
-    for i = 1 to domains - 1 do
-      if vt.(i) < vt.(!d) then d := i
-    done;
-    let d = !d in
-    let task =
-      match Deque.pop_back deques.(d) with
-      | Some _ as t -> t
-      | None ->
-        let victim = ref (-1) and depth = ref 0 in
-        for k = 1 to domains - 1 do
-          let v = (d + k) mod domains in
-          let len = Deque.length deques.(v) in
-          if len > !depth then begin
-            depth := len;
-            victim := v
-          end
-        done;
-        if !victim < 0 then None
-        else begin
-          match Deque.steal_half deques.(!victim) with
-          | [] -> None
-          | t :: rest as batch ->
-            incr steals;
-            if charge_comm then
-              List.iter
-                (fun s ->
-                  let h = Schedule.proc sched s in
-                  if h <> d then
-                    mig_deadline.(s) <-
-                      vt.(d)
-                      +. Machine.comm_time machine ~src:h ~dst:d ~cost:mig_cost.(s))
-                batch;
-            Deque.push_front_batch deques.(d) rest;
-            Some t
-        end
-    in
-    match task with
-    | None ->
-      (* Unreachable on a DAG: every unexecuted indegree-0 task sits in
-         exactly one deque, and some such task must exist. *)
-      invalid_arg "Virtual_clock.run_affinity: no runnable task (graph has a cycle?)"
-    | Some t ->
-      let ready = ref mig_deadline.(t) in
-      Taskgraph.iter_preds g t (fun pd w ->
-          let r =
-            if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-            else finish.(pd)
-          in
-          ready := Float.max !ready r);
-      let s = Float.max vt.(d) !ready in
-      start.(t) <- s;
-      finish.(t) <- s +. Taskgraph.comp g t;
-      vt.(d) <- finish.(t);
-      exec_domain.(t) <- d;
-      per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-      if Schedule.proc sched t = d then incr hint_hits else incr hint_misses;
-      incr executed;
-      Taskgraph.iter_succs g t (fun su _ ->
-          pending.(su) <- pending.(su) - 1;
-          if pending.(su) = 0 then Deque.push_back deques.(Schedule.proc sched su) su)
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks;
-    steals = !steals;
-    hint_hits = !hint_hits;
-    hint_misses = !hint_misses;
-  }
-
-(* --- fault-injected variants --- *)
-
-type faulty_outcome = {
-  start : float array;
-  finish : float array;
-  exec_domain : int array;
-  makespan : float;
   completed : int;
   total : int;
   killed : int;
@@ -293,7 +19,7 @@ type faulty_outcome = {
   per_domain_tasks : int array;
 }
 
-let faulty_complete o = o.completed = o.total
+let complete o = o.completed = o.total
 
 (* Earliest instant at or after [x] that is outside every stall window
    of the domain. Windows are sorted by start; [x] only moves forward,
@@ -303,17 +29,20 @@ let next_allowed (df : Fault.domain_faults) x =
     (fun x (at, dur) -> if x >= at && x < at +. dur then at +. dur else x)
     x df.Fault.stalls
 
-(* Deterministic rendition of [Static.run] under faults: a global
-   event loop over per-domain claim events and death events, processed
-   in increasing virtual time (deaths before claims on ties, then lowest
-   domain, then a domain's own queue before a dead one's). A claim takes
-   the front of a queue at the later of the domain's free time and the
-   last message arrival, skipped past stall windows; a death fires at
+(* Deterministic rendition of [Static.run]: a global event loop over
+   per-domain claim events and death events, processed in increasing
+   virtual time (deaths before claims on ties, then lowest domain, then a
+   domain's own queue before a dead one's). A claim takes the front of a
+   queue at the later of the domain's free time and the last message
+   arrival, skipped past stall windows; a death fires at
    [max (domain's free time) kill_at] — fail-stop between tasks. With an
-   empty fault spec no death or stall ever perturbs a claim and the
-   per-task recurrence is exactly {!run_static}'s fixpoint, so the
-   outcome matches it bit for bit. *)
-let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
+   empty fault spec no death or stall ever perturbs a claim, so each task
+   starts at the later of its processor's previous finish and its last
+   message arrival — the event times of the discrete-event simulator,
+   from the same floats by the same float operations (a zero-latency
+   message arrives at the sender's exact finish float, a positive-latency
+   one at [finish +. latency]), hence bit-identical. *)
+let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
   let g = Schedule.graph sched in
   let machine = Schedule.machine sched in
   let n = Taskgraph.num_tasks g in
@@ -499,6 +228,10 @@ let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sc
     end
     else running := false
   done;
+  (* Without a death every queue belongs to a live domain, so stopping
+     short means every remaining front waits on a task queued behind it. *)
+  if !executed < n && !killed = 0 then
+    invalid_arg "Virtual_clock.run_static: replay deadlocked (inconsistent order)";
   {
     start;
     finish;
@@ -517,13 +250,12 @@ let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sc
     per_domain_tasks;
   }
 
-(* Same discipline as {!run_steal}, with kills and stalls: dead domains
-   stop acting but their deques stay stealable, so recovery is the
-   stealing engine's natural behaviour. With an empty spec this follows
-   exactly the same action sequence as {!run_steal}. *)
-let run_steal_faulty ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
+(* Deterministic rendition of [Steal.run]. Dead domains stop acting but
+   their deques stay stealable, so recovery is the stealing engine's
+   natural behaviour. *)
+let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
   if domains < 1 then
-    invalid_arg "Virtual_clock.run_steal_faulty: domains must be >= 1";
+    invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
   (match Fault.validate faults ~domains with
   | Ok () -> ()
   | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
@@ -591,7 +323,7 @@ let run_steal_faulty ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
           (* Every unexecuted indegree-0 task sits in some deque (dead
              ones included, which stay stealable), so an alive domain
              always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_steal_faulty: no runnable task"
+          invalid_arg "Virtual_clock.run_steal: no runnable task"
         | Some t ->
           let ready = ref 0.0 in
           Taskgraph.iter_preds g t (fun pd w ->
@@ -629,18 +361,28 @@ let run_steal_faulty ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
     rescheds = 0;
     recovered = 0;
     steals = !steals;
+    (* A task's hint is the deque it was placed in, so each steal is
+       exactly one miss — matching the real engine's accounting. *)
     hint_hits = !executed - !steals;
     hint_misses = !steals;
     per_domain_tasks;
   }
 
-(* Same discipline as {!run_affinity}, with kills and stalls: dead
-   domains stop acting but their deques stay stealable (steal-half
-   thefts from a dead victim count the whole batch as [recovered]), and
-   hint routing falls back to the enabling domain while the hinted one
-   is dead. With an empty spec this follows exactly the same action
-   sequence as {!run_affinity}. *)
-let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
+(* Deterministic rendition of [Affinity.run]: domains act in
+   lowest-virtual-time-first order (ties to the lowest id); each deque is
+   seeded with its scheduled entry tasks and a newly enabled task is
+   routed to the deque of its hinted (scheduled) processor, or of the
+   enabling domain while the hinted one is dead. An empty domain steals
+   half of the {e deepest} other deque — the load-aware victim rule, with
+   the random two-victim probe collapsed to its deterministic limit —
+   runs the oldest stolen task and keeps the rest at its own front. Each
+   stolen task whose hint is not the thief is stamped with a transfer
+   deadline — steal instant plus [Machine.comm_time] for its heaviest
+   in-edge — and may not start before it, exactly as the real engine
+   prices migration (transfers overlap with whatever the thief runs
+   first). Dead domains stop acting but their deques stay stealable; a
+   batch stolen from a dead victim counts wholly as [recovered]. *)
+let run_affinity ?(charge_comm = true) ?(faults = Fault.none) sched =
   let g = Schedule.graph sched in
   let machine = Schedule.machine sched in
   let n = Taskgraph.num_tasks g in
@@ -656,6 +398,8 @@ let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
         !m)
   in
   let pending = Array.init n (Taskgraph.in_degree g) in
+  (* Reversed so the owner's LIFO back yields schedule order, as in the
+     real engine's seeding. *)
   let deques =
     Array.map
       (fun tasks ->
@@ -736,7 +480,7 @@ let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
           (* Every unexecuted indegree-0 task sits in some deque (dead
              ones included, which stay stealable), so an alive domain
              always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_affinity_faulty: no runnable task"
+          invalid_arg "Virtual_clock.run_affinity: no runnable task"
         | Some t ->
           let ready = ref mig_deadline.(t) in
           Taskgraph.iter_preds g t (fun pd w ->

@@ -5,18 +5,22 @@ open! Flb_platform
 
     The real engines are nondeterministic (wall-clock jitter, races in
     victim selection); this module executes the same disciplines with a
-    simulated clock so tests can pin their behavior exactly.
+    simulated clock, so tests can pin their behavior exactly and recovery
+    policies can be compared on exact makespans instead of noisy wall
+    clocks. There is one replay per engine. Each takes an optional fault
+    spec, [Fault.none] by default, whose times are in weight units,
+    directly on the virtual clock.
 
-    {!run_static} replays a schedule with the recurrence
-    [start t = max (finish of the previous task on t's processor)
-    (arrival of each predecessor's message)], over the same per-processor
-    order {!Engine.plan_of_schedule} extracts — which is provably the
-    fixpoint the event-driven [Flb_sim.Simulator.run] computes, using the
-    identical float operations, so start and finish times agree
-    {e bit-for-bit} (a zero-latency message arrives at the predecessor's
-    exact finish float; a positive-latency one at [finish +. latency]).
-    The qcheck suite asserts this equivalence on random DAGs for every
-    registered scheduler.
+    {!run_static} replays a schedule over the per-processor order
+    {!Engine.plan_of_schedule} extracts. Without faults each task starts
+    at [max (finish of the previous task on its processor) (arrival of
+    each predecessor's message)] — the fixpoint the event-driven
+    [Flb_sim.Simulator.run] computes, using the identical float
+    operations, so start and finish times agree {e bit-for-bit} (a
+    zero-latency message arrives at the predecessor's exact finish float;
+    a positive-latency one at [finish +. latency]). The qcheck suite
+    asserts this equivalence on random DAGs for every registered
+    scheduler and every recovery policy.
 
     {!run_steal} is an idealized deterministic rendition of the stealing
     engine: domains act in lowest-virtual-time-first order (ties to the
@@ -27,35 +31,61 @@ open! Flb_platform
     edges their communication weight when [charge_comm]. Entry tasks are
     dealt round-robin by id. With [domains = 1] there is nothing to
     steal and no communication, so the makespan is exactly the
-    sequential sum of the weights (in execution order). *)
+    sequential sum of the weights (in execution order).
+
+    Under faults a killed domain stops between tasks (fail-stop), a
+    stalled one acts no earlier than the end of its stall window, and a
+    slowed one stretches every task it runs. *)
 
 type outcome = {
-  start : float array;
+  start : float array;  (** [nan] for tasks that never executed *)
   finish : float array;
   exec_domain : int array;
-      (** domain that ran each task: the schedule's placement for
-          {!run_static}, the acting domain for {!run_steal} and
-          {!run_affinity} *)
-  makespan : float;
-  per_domain_tasks : int array;
-  steals : int;
+      (** domain that ran each task, [-1] if none: the schedule's
+          placement for {!run_static} (unless recovery moved it), the
+          acting domain for {!run_steal} and {!run_affinity} *)
+  makespan : float;  (** last finish among executed tasks; [0.] if none *)
+  completed : int;
+  total : int;
+  killed : int;
+  rescheds : int;
+  recovered : int;  (** tasks taken from a dead domain's queue *)
+  steals : int;  (** steals, dead victims included (stealing discipline) *)
   hint_hits : int;
-      (** tasks executed on their hinted domain: all of them for
-          {!run_static}, own-deque pops for {!run_steal}, scheduled
+      (** tasks executed on their hinted domain: every unrecovered task
+          for {!run_static}, own-deque pops for {!run_steal}, scheduled
           placements honored for {!run_affinity} *)
   hint_misses : int;
+  per_domain_tasks : int array;
 }
 
-val run_static : Schedule.t -> outcome
-(** @raise Invalid_argument if the schedule is incomplete or its
-    replay deadlocks (a dependency-inconsistent per-processor order,
-    impossible for schedules built through [Schedule.assign]). *)
+val complete : outcome -> bool
+(** Every task executed. Always true without faults. *)
 
-val run_steal : ?charge_comm:bool -> domains:int -> Taskgraph.t -> outcome
-(** [charge_comm] defaults to [true]. @raise Invalid_argument if
-    [domains < 1]. *)
+val run_static :
+  ?faults:Fault.spec -> ?recover:Engine.recovery -> Schedule.t -> outcome
+(** The static discipline: a global event loop over claim and death
+    events in increasing virtual time (deaths win ties — the worker polls
+    its fault clock before taking work; fail-stop is between tasks).
+    [recover] (default {!Engine.Steal_queues}) selects the reaction to a
+    death: {!Engine.No_recovery} abandons the dead queue's dependence
+    cone, {!Engine.Steal_queues} lets survivors take dead queue fronts no
+    earlier than the death instant, {!Engine.Resched} freezes the
+    executed prefix and re-runs the named scheduler over the frontier
+    exactly as [Static.run] does.
+    @raise Invalid_argument on a bad spec, unknown algorithm, or
+    incomplete schedule, or if the replay deadlocks with no domain
+    killed (a dependency-inconsistent per-processor order, impossible
+    for schedules built through [Schedule.assign]). *)
 
-val run_affinity : ?charge_comm:bool -> Schedule.t -> outcome
+val run_steal :
+  ?charge_comm:bool -> ?faults:Fault.spec -> domains:int -> Taskgraph.t -> outcome
+(** The stealing discipline. Dead domains stop acting but their deques
+    stay stealable, so recovery needs no policy. [charge_comm] defaults
+    to [true]. @raise Invalid_argument if [domains < 1] or on a bad
+    spec. *)
+
+val run_affinity : ?charge_comm:bool -> ?faults:Fault.spec -> Schedule.t -> outcome
 (** Deterministic rendition of the locality-aware stealing engine
     {!Affinity.run}: deques seeded with each processor's scheduled entry
     tasks, newly enabled tasks routed to their hinted (scheduled)
@@ -64,66 +94,11 @@ val run_affinity : ?charge_comm:bool -> Schedule.t -> outcome
     real engine collapsed to its deterministic load-aware limit), and
     every stolen task whose hint is not the thief charges
     [Machine.comm_time] for its heaviest in-edge onto the thief's clock
-    when [charge_comm]. Entirely RNG- and wall-clock-free: repeated runs
-    are bit-identical (qcheck-pinned). With one processor the makespan
-    is exactly the sequential sum of the task weights. *)
-
-(** {1 Fault injection under the virtual clock}
-
-    Deterministic counterparts of the real engines' fault handling, so
-    recovery policies can be compared on exact makespans instead of
-    noisy wall clocks. Fault times are in weight units, directly on the
-    virtual clock. *)
-
-type faulty_outcome = {
-  start : float array;  (** [nan] for tasks that never executed *)
-  finish : float array;
-  exec_domain : int array;  (** [-1] for tasks that never executed *)
-  makespan : float;  (** last finish among executed tasks; [0.] if none *)
-  completed : int;
-  total : int;
-  killed : int;
-  rescheds : int;
-  recovered : int;  (** tasks taken from a dead domain's queue *)
-  steals : int;  (** steals, dead victims included (stealing discipline) *)
-  hint_hits : int;  (** tasks executed on their hinted domain *)
-  hint_misses : int;
-  per_domain_tasks : int array;
-}
-
-val faulty_complete : faulty_outcome -> bool
-
-val run_static_faulty :
-  ?faults:Fault.spec -> ?recover:Engine.recovery -> Schedule.t -> faulty_outcome
-(** The static discipline under faults: a global event loop over claim
-    and death events in increasing virtual time (deaths win ties — the
-    worker polls its fault clock before taking work; fail-stop is
-    between tasks). [recover] selects the reaction to a death:
-    {!Engine.No_recovery} abandons the dead queue's dependence cone,
-    {!Engine.Steal_queues} lets survivors take dead queue fronts no
-    earlier than the death instant, {!Engine.Resched} freezes the
-    executed prefix and re-runs the named scheduler over the frontier
-    exactly as [Static.run] does. With [faults = Fault.none] the
-    outcome's times match {!run_static} bit for bit.
-    @raise Invalid_argument on a bad spec, unknown algorithm, or
-    incomplete schedule. *)
-
-val run_steal_faulty :
-  ?charge_comm:bool ->
-  ?faults:Fault.spec ->
-  domains:int ->
-  Taskgraph.t ->
-  faulty_outcome
-(** The stealing discipline under faults: dead domains stop acting but
-    their deques stay stealable, so recovery needs no policy. With
-    [faults = Fault.none] this follows the exact action sequence of
-    {!run_steal}. *)
-
-val run_affinity_faulty :
-  ?charge_comm:bool -> ?faults:Fault.spec -> Schedule.t -> faulty_outcome
-(** The affinity discipline under faults: dead domains stop acting but
-    their deques stay stealable (a steal-half batch taken from a dead
-    victim counts wholly as [recovered]), and hint routing falls back to
-    the enabling domain while the hinted one is dead. With
-    [faults = Fault.none] this follows the exact action sequence of
-    {!run_affinity}. *)
+    when [charge_comm] (default [true]). Entirely RNG- and
+    wall-clock-free: repeated runs are bit-identical (qcheck-pinned).
+    With one processor the makespan is exactly the sequential sum of the
+    task weights. Under faults, dead domains stop acting but their deques
+    stay stealable (a steal-half batch taken from a dead victim counts
+    wholly as [recovered]), and hint routing falls back to the enabling
+    domain while the hinted one is dead. @raise Invalid_argument on a
+    bad spec. *)
