@@ -18,7 +18,7 @@ open! Flb_platform
       non-EP queue ordered by LMT and a global processor queue ordered
       by ready time.
 
-    Every queue is an {!Flb_heap.Indexed_heap}, so one iteration costs
+    Every queue is a {!Flb_heap.Flat_heap}, so one iteration costs
     O(log W + log P) amortized and the whole schedule
     O(V (log W + log P) + E).
 

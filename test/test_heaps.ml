@@ -1,6 +1,5 @@
 open Testutil
 module Int_heap = Flb_heap.Binary_heap.Make (Int)
-module Int_pairing = Flb_heap.Pairing_heap.Make (Int)
 module Indexed_heap = Flb_heap.Indexed_heap
 module Flat_heap = Flb_heap.Flat_heap
 
@@ -24,26 +23,6 @@ let test_binary_pop_exn () =
 let test_binary_of_array () =
   let h = Int_heap.of_array [| 4; 2; 7; 1 |] in
   Alcotest.(check (list int)) "heapified" [ 1; 2; 4; 7 ] (Int_heap.drain h)
-
-(* --- Pairing_heap --- *)
-
-let test_pairing_basic () =
-  let h = Int_pairing.of_list [ 5; 1; 3 ] in
-  Alcotest.(check (option int)) "min" (Some 1) (Int_pairing.min_elt h);
-  check_int "length" 3 (Int_pairing.length h);
-  Alcotest.(check (list int)) "sorted" [ 1; 3; 5 ] (Int_pairing.to_sorted_list h);
-  (* persistence: the original heap is unchanged by pop *)
-  (match Int_pairing.pop h with
-  | Some (x, rest) ->
-    check_int "popped min" 1 x;
-    check_int "rest length" 2 (Int_pairing.length rest)
-  | None -> Alcotest.fail "pop on non-empty");
-  check_int "original untouched" 3 (Int_pairing.length h)
-
-let test_pairing_merge () =
-  let a = Int_pairing.of_list [ 4; 6 ] and b = Int_pairing.of_list [ 1; 9 ] in
-  Alcotest.(check (list int)) "merge" [ 1; 4; 6; 9 ]
-    (Int_pairing.to_sorted_list (Int_pairing.merge a b))
 
 (* --- Indexed_heap --- *)
 
@@ -243,12 +222,6 @@ let qsuite =
         let h = Int_heap.create () in
         List.iter (Int_heap.add h) l;
         Int_heap.drain h = List.sort compare l);
-    qtest "pairing heap sorts" QCheck.(list int) (fun l ->
-        Int_pairing.to_sorted_list (Int_pairing.of_list l) = List.sort compare l);
-    qtest "binary and pairing heaps agree" QCheck.(list int) (fun l ->
-        let b = Int_heap.create () in
-        List.iter (Int_heap.add b) l;
-        Int_heap.drain b = Int_pairing.to_sorted_list (Int_pairing.of_list l));
   ]
 
 let suite =
@@ -256,8 +229,6 @@ let suite =
     Alcotest.test_case "binary: basic" `Quick test_binary_basic;
     Alcotest.test_case "binary: pop_exn" `Quick test_binary_pop_exn;
     Alcotest.test_case "binary: of_array" `Quick test_binary_of_array;
-    Alcotest.test_case "pairing: basic/persistence" `Quick test_pairing_basic;
-    Alcotest.test_case "pairing: merge" `Quick test_pairing_merge;
     Alcotest.test_case "indexed: basic" `Quick test_indexed_basic;
     Alcotest.test_case "indexed: errors" `Quick test_indexed_errors;
     Alcotest.test_case "indexed: id tie-break" `Quick test_indexed_tie_break_by_id;

@@ -29,15 +29,21 @@ let graph_edges g =
   Taskgraph.iter_edges (fun s d c -> acc := (s, d, c) :: !acc) g;
   Array.of_list (List.rev !acc)
 
-(* Feed a whole graph through one stream and seal. *)
+(* Feed a whole graph through one stream and seal, in exactly one round.
+   That round runs on [add_edges] once the graph reaches [batch_tasks],
+   else on [seal], so the placements of every call are collected. *)
 let stream_whole loop ~algo ~procs g =
   let id = ok (SL.open_stream loop ~algo ~procs) in
-  let first, _ = ok (SL.add_tasks loop ~stream:id ~comps:(graph_comps g)) in
+  let first, added = ok (SL.add_tasks loop ~stream:id ~comps:(graph_comps g)) in
   Alcotest.(check int) "ids start at 0" 0 first;
-  let (_ : SL.progress) =
-    ok (SL.add_edges loop ~stream:id ~edges:(graph_edges g))
-  in
-  ok (SL.seal loop ~stream:id)
+  let edged = ok (SL.add_edges loop ~stream:id ~edges:(graph_edges g)) in
+  let sealed = ok (SL.seal loop ~stream:id) in
+  Alcotest.(check int) "one round" 1 sealed.SL.round;
+  {
+    sealed with
+    SL.placements =
+      Array.concat [ added.SL.placements; edged.SL.placements; sealed.SL.placements ];
+  }
 
 let placements_by_task (p : SL.progress) extra =
   let tbl = Hashtbl.create 16 in
@@ -159,6 +165,16 @@ let prop_sealed_round_is_one_shot (p, procs) =
           final.SL.makespan (Schedule.makespan fresh))
     RS.Reschedule.entries;
   true
+
+(* A graph of [batch_tasks] (32) tasks or more is placed by the round
+   [add_edges] triggers, leaving nothing for [seal]. *)
+let test_sealed_round_at_batch_size () =
+  let p =
+    { layers = 7; max_width = 6; edge_probability = 0.81; ccr = 3.11; seed = 20253 }
+  in
+  Alcotest.(check bool) "reaches batch_tasks" true
+    (Taskgraph.num_tasks (build_dag p) >= SL.default_config.SL.batch_tasks);
+  Alcotest.(check bool) "one-shot on 1 proc" true (prop_sealed_round_is_one_shot (p, 1))
 
 (* --- fig1 in two batches: >= 2 rounds, frozen prefix, makespan --- *)
 
@@ -409,6 +425,8 @@ let suite =
       test_graph_cycle;
     Alcotest.test_case "stream graph: snapshot/frontier round-trip" `Quick
       test_graph_snapshot_roundtrip;
+    Alcotest.test_case "sealed stream of batch_tasks tasks = one-shot" `Quick
+      test_sealed_round_at_batch_size;
     Alcotest.test_case "fig1 in two batches: frozen prefix, makespan 14"
       `Quick test_fig1_two_batches;
     Alcotest.test_case "two clients share one super-DAG round" `Quick
