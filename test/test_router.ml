@@ -394,8 +394,9 @@ let start_fake behavior =
         | Ok _ | Error _ -> loop ())
     in
     (try loop () with _ -> ());
-    close_out_noerr oc;
-    close_in_noerr ic
+    (* [ic] and [oc] share [fd]: close it once. A second close could hit
+       a socket the in-process daemon accepted in between. *)
+    close_out_noerr oc
   in
   let acceptor =
     Thread.create
