@@ -30,11 +30,30 @@ let graph_arg =
   let doc = "Task graph file (lib/taskgraph/serial.mli format), a .flb program file (lib/lang/parse.mli), or 'fig1' for the paper's example graph." in
   Arg.(required & opt (some string) None & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
 
+(* A graph that cannot be read is a usage error: FILE:LINE: message,
+   exit 2, as for a bad schedule file. *)
 let load_graph path =
+  let fail line message =
+    Printf.eprintf "%s:%d: %s\n" path line message;
+    exit 2
+  in
   if path = "fig1" then Example.fig1 ()
-  else if Filename.check_suffix path ".flb" then
-    Flb_lang.Program.compile (Flb_lang.Parse.load ~path)
-  else Serial.load ~path
+  else
+    match
+      if Filename.check_suffix path ".flb" then
+        Flb_lang.Program.compile (Flb_lang.Parse.load ~path)
+      else Serial.load ~path
+    with
+    | g -> g
+    | exception Serial.Parse_error { line; message } -> fail line message
+    | exception Flb_lang.Parse.Parse_error { position; message } ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let line = ref 1 in
+      String.iteri (fun i c -> if c = '\n' && i < position then incr line) text;
+      fail !line message
+    | exception Sys_error message ->
+      prerr_endline message;
+      exit 2
 
 let procs_arg =
   let doc = "Number of processors in the clique machine." in

@@ -845,8 +845,10 @@ let test_server_rejects_raw_garbage () =
               Alcotest.failf "expected Pong, got %s" (show_response resp)
             | Error msg -> Alcotest.fail msg)
           | Error e -> Alcotest.fail (Wire.read_error_to_string e));
+          (* [ic] and [oc] share [fd]: close it once. A second close
+             could hit a socket the in-process server accepted in
+             between. *)
           close_out_noerr oc;
-          close_in_noerr ic;
           (* and the server as a whole is still alive *)
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping c)))
@@ -871,7 +873,6 @@ let test_server_truncated_frame () =
             Alcotest.failf "no structured response to truncation: %s"
               (Wire.read_error_to_string e));
           close_out_noerr oc;
-          close_in_noerr ic;
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping probe)))
 
@@ -893,7 +894,6 @@ let test_server_oversized_frame () =
             Alcotest.failf "no structured response to oversized frame: %s"
               (Wire.read_error_to_string e));
           close_out_noerr oc;
-          close_in_noerr ic;
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping probe)))
 
