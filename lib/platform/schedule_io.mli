@@ -4,7 +4,9 @@ open! Flb_taskgraph
     computed them (and can be validated or visualized later by the
     CLI).
 
-    Format (whitespace-separated, ['#'] comments):
+    Format, in the line syntax of task-graph files
+    ({!Flb_taskgraph.Text_syntax}: blank-separated fields, ['#']
+    comments, LF or CRLF line ends, OCaml int and float literals):
 
     {v
     schedule <num_tasks> <num_procs>

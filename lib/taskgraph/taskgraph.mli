@@ -26,6 +26,14 @@ type t
 (** {1 Construction} *)
 
 module Builder : sig
+  (** Incremental construction. The builder stores edges as a forward
+      star: flat growable [int]/[float] arrays in insertion order, each
+      edge chained to the previous edge out of the same source. Adding
+      an edge allocates nothing beyond amortized array growth and
+      checks for a duplicate by walking its source's chain
+      (O(out-degree)); {!build} counting-sorts the edges into the CSR
+      arrays in O(V + E), each task's slots in insertion order. *)
+
   type graph := t
 
   type t
