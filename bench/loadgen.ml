@@ -7,7 +7,7 @@
    given with --port. Each client thread owns one connection and issues
    its requests back to back; request latencies and the server-reported
    per-stage breakdown (queue wait / cache / schedule / execute, from
-   the v2 Scheduled response) are observed into Flb_obs.Metrics
+   the Scheduled response) are observed into Flb_obs.Metrics
    histograms, and the run ends with a throughput and p50/p95/p99
    summary — end-to-end and per stage — plus the cache hit rate.
 
@@ -44,8 +44,8 @@
                        twice — hot-shard hedging off, then on with this
                        delay — and print p50/p95/p99 side by side plus
                        the hedge-win rate scraped from the router metrics
-     --stream N        streaming mode: N concurrent protocol-v3
-                       streams per workload (default 0 = off); each
+     --stream N        streaming mode: N concurrent wire streams
+                       per workload (default 0 = off); each
                        stream ships its graph in --batches batches and
                        the run reports placement latency p50/p95/p99
                        and rounds/sec (see Stream_bench)
@@ -124,7 +124,7 @@ let run_phase ~label ~clients ~requests ~graphs ~algo ~procs ~endpoints =
     Metrics.histogram registry ~help:"client-observed request latency (s)"
       "client_request_seconds"
   in
-  (* server-reported per-stage breakdown (v2 Scheduled responses) *)
+  (* server-reported per-stage breakdown (Scheduled responses) *)
   let queue_wait_h =
     Metrics.histogram registry ~help:"server-reported queue wait (s)"
       "client_queue_wait_seconds"
@@ -308,7 +308,7 @@ let () =
   let batches = arg_int "--batches" 4 in
 
   if stream_clients > 0 then begin
-    (* --- streaming mode: incremental ingestion over protocol v3 --- *)
+    (* --- streaming mode: incremental ingestion over the wire --- *)
     let repeats = arg_int "--requests" 8 in
     let server, port =
       if external_port > 0 then (None, external_port)

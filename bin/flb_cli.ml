@@ -12,7 +12,7 @@
      experiment regenerate a figure of the paper from the CLI
      serve     run the scheduling daemon (lib/service)
      request   send one schedule request to a running daemon
-     stream    ship a graph to a daemon incrementally (lib/stream, wire v3)
+     stream    ship a graph to a daemon incrementally (lib/stream)
      metrics   fetch a daemon's Prometheus metrics
      stats     live introspection snapshot of a running daemon
      route     run the sharding router in front of several daemons

@@ -97,8 +97,8 @@ let render r =
   Table.render table
 
 (* --- JSON: a strict reader/writer for the subset our reports emit.
-   Exposed as [Regress.Json] so sibling experiments (Runtime_real_exp)
-   and the bench harness reuse it instead of growing parsers. --- *)
+   Exposed as [Regress.Json] so sibling experiments and the bench
+   harness reuse it instead of growing parsers. --- *)
 
 module Json = struct
   type t =

@@ -18,8 +18,8 @@
 
 (** Strict JSON reader/writer helpers for the subset the reports in this
     repository emit (objects, arrays, strings, numbers, booleans, null;
-    ASCII escapes). Shared by {!Regress} itself, {!Runtime_real_exp} and
-    the bench harness so none of them grows a private parser. *)
+    ASCII escapes). Shared by {!Regress} itself, sibling experiments
+    and the bench harness so none of them grows a private parser. *)
 module Json : sig
   type t =
     | Null

@@ -113,8 +113,7 @@ let to_json ?resched rows =
   Buffer.add_string buf "{\n";
   (* Schema 3 = schema 2 plus the affinity-engine columns
      (affinity_units, affinity_vs_steal, hint_hit_rate); the "resched"
-     array stays optional. Readers of any version parse "rows"
-     identically, with the affinity columns defaulting to nan. *)
+     array stays optional. *)
   Buffer.add_string buf "  \"schema\": \"flb-runtime/3\",\n";
   (match resched with
   | None -> ()
@@ -140,46 +139,3 @@ let to_json ?resched rows =
     rows;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-let of_json text =
-  let open Regress.Json in
-  (* Columns added by later schema versions: absent (or null) in files
-     written by earlier ones. *)
-  let opt_num item name =
-    match field name item with
-    | exception Parse_error _ -> Float.nan
-    | Null -> Float.nan
-    | v -> num v
-  in
-  match parse_exn text with
-  | exception Parse_error msg -> Error msg
-  | json -> (
-    match
-      let schema = str (field "schema" json) in
-      if
-        schema <> "flb-runtime/1" && schema <> "flb-runtime/2"
-        && schema <> "flb-runtime/3"
-      then raise (Parse_error (Printf.sprintf "unknown schema %S" schema));
-      match field "rows" json with
-      | Arr items ->
-        List.map
-          (fun item ->
-            {
-              workload = str (field "workload" item);
-              tasks = int_of_float (num (field "tasks" item));
-              domains = int_of_float (num (field "domains" item));
-              predicted_units = num (field "predicted_units" item);
-              static_units = num (field "static_units" item);
-              steal_units = num (field "steal_units" item);
-              affinity_units = opt_num item "affinity_units";
-              static_ratio = num (field "static_ratio" item);
-              steal_vs_static = num (field "steal_vs_static" item);
-              affinity_vs_steal = opt_num item "affinity_vs_steal";
-              hint_hit_rate = opt_num item "hint_hit_rate";
-              steals = int_of_float (num (field "steals" item));
-            })
-          items
-      | _ -> raise (Parse_error "rows must be an array")
-    with
-    | exception Parse_error msg -> Error msg
-    | rows -> Ok rows)

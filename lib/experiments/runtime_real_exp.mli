@@ -26,16 +26,15 @@ type row = {
   static_units : float;  (** measured static-engine makespan, weight units *)
   steal_units : float;  (** measured stealing-engine makespan, weight units *)
   affinity_units : float;
-      (** measured affinity-engine makespan (same schedule as hints);
-          [nan] when read from a pre-schema-3 file *)
+      (** measured affinity-engine makespan (same schedule as hints) *)
   static_ratio : float;  (** [static_units /. predicted_units] *)
   steal_vs_static : float;  (** [steal_units /. static_units] *)
   affinity_vs_steal : float;
       (** [affinity_units /. steal_units] — below 1 when the hints beat
-          blind stealing; [nan] from a pre-schema-3 file *)
+          blind stealing *)
   hint_hit_rate : float;
       (** fraction of tasks the affinity engine ran on their scheduled
-          domain; [nan] from a pre-schema-3 file *)
+          domain *)
   steals : int;  (** successful steals in the stealing run *)
 }
 
@@ -61,8 +60,3 @@ val to_json : ?resched:string -> row list -> string
     [affinity_vs_steal] and [hint_hit_rate] (non-finite values emitted
     as null). [resched] (a JSON array from {!Resched_exp.rows_json}) is
     embedded as the optional ["resched"] field. *)
-
-val of_json : string -> (row list, string) result
-(** Parses what {!to_json} emits, any schema version 1-3 (via
-    {!Regress.Json}; the ["resched"] field is ignored, affinity columns
-    absent from older versions parse as [nan]). *)

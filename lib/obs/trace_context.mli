@@ -12,7 +12,7 @@ type t
 val mint : unit -> int64
 (** A fresh non-zero id: wall clock, pid and a process-local counter
     folded through the SplitMix64 finalizer. Zero is reserved for "no
-    id" (a v1 peer). *)
+    id": a wire header whose trace id was left unset. *)
 
 val create : ?id:int64 -> Trace.t -> t
 (** [create ?id tracer]. An absent or zero [id] mints a fresh one, so a

@@ -541,27 +541,25 @@ let gossip_exchange t (host, port) =
 let gossip_now t = List.iter (gossip_exchange t) t.config.peers
 
 (* Returns [false] when the connection should stop being served. *)
-let handle_request t respond (header : Wire.header) = function
+let handle_request t respond ~trace_id = function
   | Wire.Schedule { graph; algo; procs } ->
-    respond ~trace_id:header.Wire.trace_id
-      (handle_schedule t ~trace_id:header.Wire.trace_id ~graph ~algo ~procs);
+    respond ~trace_id (handle_schedule t ~trace_id ~graph ~algo ~procs);
     true
   | Wire.Get_metrics ->
     refresh_gauges t;
-    respond ~trace_id:header.Wire.trace_id
-      (Wire.Metrics_text (Metrics.to_prometheus t.registry));
+    respond ~trace_id (Wire.Metrics_text (Metrics.to_prometheus t.registry));
     true
   | Wire.Get_stats fmt ->
-    respond ~trace_id:header.Wire.trace_id (Wire.Stats_text (stats_text t fmt));
+    respond ~trace_id (Wire.Stats_text (stats_text t fmt));
     true
   | Wire.Get_load ->
-    respond ~trace_id:header.Wire.trace_id (load_answer t);
+    respond ~trace_id (load_answer t);
     true
   | Wire.Ping ->
-    respond ~trace_id:header.Wire.trace_id Wire.Pong;
+    respond ~trace_id Wire.Pong;
     true
   | Wire.Shutdown ->
-    respond ~trace_id:header.Wire.trace_id Wire.Shutting_down;
+    respond ~trace_id Wire.Shutting_down;
     request_stop t;
     false
   | Wire.Gossip { from = _; digest } ->
@@ -571,14 +569,13 @@ let handle_request t respond (header : Wire.header) = function
     Metrics.Counter.incr t.gossip_rounds;
     merge_digest t digest;
     sync_gossip_out t;
-    respond ~trace_id:header.Wire.trace_id
-      (Wire.Gossip_ack { digest = Gossip.digest t.gossip });
+    respond ~trace_id (Wire.Gossip_ack { digest = Gossip.digest t.gossip });
     true
   | Wire.Drain { backend } -> (
     match backend_by_id t backend with
     | None ->
       Metrics.Counter.incr t.errors;
-      respond ~trace_id:header.Wire.trace_id
+      respond ~trace_id
         (Wire.Error
            {
              code = Wire.Bad_request;
@@ -598,14 +595,14 @@ let handle_request t respond (header : Wire.header) = function
            (Wire.Drain { backend = "" }));
       ignore (Thread.create (fun () -> try gossip_now t with _ -> ()) ());
       refresh_gauges t;
-      respond ~trace_id:header.Wire.trace_id (Wire.Drain_ack { backend });
+      respond ~trace_id (Wire.Drain_ack { backend });
       true)
   | Wire.Open_stream _ | Wire.Add_tasks _ | Wire.Add_edges _ | Wire.Seal _
   | Wire.Poll_stream _ ->
     (* A streaming session is stateful on one daemon's scheduler loop;
        hashing individual messages across the fleet would scatter it.
        Until sessions get sticky routing, point clients at a backend. *)
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (Wire.Error
          {
            code = Wire.Bad_request;
@@ -646,8 +643,8 @@ let handle_conn t fd =
          with
         | () -> loop ()
         | exception _ -> ())
-      | Ok (header, req) -> (
-        match handle_request t respond header req with
+      | Ok (trace_id, req) -> (
+        match handle_request t respond ~trace_id req with
         | true -> loop ()
         | false -> ()
         | exception _ -> ()))

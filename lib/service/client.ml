@@ -81,8 +81,8 @@ let call ?trace_id t request =
     with
     | Ok payload -> (
       match Wire.decode_response payload with
-      | Ok (header, resp) ->
-        if header.Wire.trace_id <> 0L then t.last_trace_id <- header.Wire.trace_id;
+      | Ok (trace_id, resp) ->
+        if trace_id <> 0L then t.last_trace_id <- trace_id;
         Ok resp
       | Error _ as e -> e)
     | Error e -> Error (Wire.read_error_to_string e)
@@ -170,8 +170,8 @@ let unexpected what = function
   | Wire.Overloaded -> Error "server overloaded"
   | _ -> Error ("unexpected response to " ^ what)
 
-let open_stream ?(batch_tasks = 0) t ~algo ~procs =
-  match call t (Wire.Open_stream { algo; procs; batch_tasks }) with
+let open_stream t ~algo ~procs =
+  match call t (Wire.Open_stream { algo; procs }) with
   | Ok (Wire.Stream_opened { stream }) -> Ok stream
   | Ok resp -> unexpected "Open_stream" resp
   | Error _ as e -> e

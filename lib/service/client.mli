@@ -64,8 +64,8 @@ val get_stats : t -> format:Wire.stats_format -> (string, string) result
 (** Live introspection snapshot, pre-rendered by the daemon. *)
 
 val get_load : t -> (Wire.load, string) result
-(** Lightweight binary load probe (v2-only) — the router's balancer
-    polls this instead of parsing a full stats snapshot. *)
+(** Lightweight binary load probe — the router's balancer polls this
+    instead of parsing a full stats snapshot. *)
 
 val ping : t -> (unit, string) result
 
@@ -73,17 +73,17 @@ val shutdown : t -> (unit, string) result
 (** Ask the daemon to drain and exit; [Ok ()] once it acknowledges. *)
 
 val drain : ?backend:string -> t -> (unit, string) result
-(** Graceful removal (v4-only). Against a router, [backend] names the
-    member to flip to [Draining]; against a daemon, the default [""]
-    asks the daemon itself to finish in-flight work and exit. [Ok ()]
-    once the drain is acknowledged (not yet complete). *)
+(** Graceful removal. Against a router, [backend] names the member to
+    flip to [Draining]; against a daemon, the default [""] asks the
+    daemon itself to finish in-flight work and exit. [Ok ()] once the
+    drain is acknowledged (not yet complete). *)
 
 val gossip :
   t -> from:string -> digest:Wire.gossip_digest -> (Wire.gossip_digest, string) result
-(** One symmetric anti-entropy exchange with a router peer (v4-only):
-    send our digest, get the peer's post-merge digest back. *)
+(** One symmetric anti-entropy exchange with a router peer: send our
+    digest, get the peer's post-merge digest back. *)
 
-(** {1 Streaming (protocol v3)}
+(** {1 Streaming}
 
     The streaming wrappers unwrap the server's [Placed] answers into
     {!placed}; any other answer — including structured [Error]
@@ -98,8 +98,7 @@ type placed = {
   placements : (int * int * float) array;  (** [(task, proc, start)]. *)
 }
 
-val open_stream :
-  ?batch_tasks:int -> t -> algo:string -> procs:int -> (int, string) result
+val open_stream : t -> algo:string -> procs:int -> (int, string) result
 (** Open a streaming session; returns the server-assigned stream id. *)
 
 val add_tasks : t -> stream:int -> comps:float array -> (placed, string) result

@@ -432,12 +432,12 @@ let handle_stream srv ~stream result =
   | Ok p -> placed_response ~stream p
   | Error e -> stream_error_response e
 
-let handle_request srv respond header = function
+let handle_request srv respond ~trace_id = function
   | Wire.Schedule { graph; algo; procs } ->
-    (* A v1 peer (or an unset v2 id) gets a server-minted id, so the
-       request still forms one correlated track in the trace and the
-       peer can fish the id out of the response header. *)
-    let ctx = Ctx.create ~id:header.Wire.trace_id srv.config.tracer in
+    (* An unset id (0) gets a server-minted one, so the request still
+       forms one correlated track in the trace and the peer can fish
+       the id out of the response header. *)
+    let ctx = Ctx.create ~id:trace_id srv.config.tracer in
     incr_inflight srv;
     let resp =
       Fun.protect
@@ -447,16 +447,15 @@ let handle_request srv respond header = function
     respond ~trace_id:(Ctx.id ctx) resp;
     true
   | Wire.Get_metrics ->
-    respond ~trace_id:header.Wire.trace_id
-      (Wire.Metrics_text (Metrics.to_prometheus srv.registry));
+    respond ~trace_id (Wire.Metrics_text (Metrics.to_prometheus srv.registry));
     true
   | Wire.Get_stats fmt ->
-    respond ~trace_id:header.Wire.trace_id (Wire.Stats_text (stats_text srv fmt));
+    respond ~trace_id (Wire.Stats_text (stats_text srv fmt));
     true
   | Wire.Get_load ->
     (* Fixed-size binary answer, no text rendering: cheap enough for a
        router to poll every health-check period. *)
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (Wire.Load
          {
            Wire.uptime_s = now () -. srv.started_at;
@@ -471,10 +470,9 @@ let handle_request srv respond header = function
               n);
          });
     true
-  | Wire.Open_stream { algo; procs; batch_tasks = _ } ->
-    (* [batch_tasks] is accepted for forward compatibility; the round
-       threshold is server-wide config for now. A draining daemon takes
-       no new streams — existing ones finish, new ones go elsewhere. *)
+  | Wire.Open_stream { algo; procs } ->
+    (* A draining daemon takes no new streams — existing ones finish,
+       new ones go elsewhere. *)
     let resp =
       if draining srv then begin
         Metrics.Counter.incr srv.overloaded;
@@ -490,33 +488,33 @@ let handle_request srv respond header = function
         Metrics.Counter.incr srv.errors;
         stream_error_response e
     in
-    respond ~trace_id:header.Wire.trace_id resp;
+    respond ~trace_id resp;
     true
   | Wire.Add_tasks { stream; comps } ->
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (handle_stream srv ~stream
          (Result.map
             (fun (_first, p) -> p)
             (Stream_loop.add_tasks srv.streams ~stream ~comps)));
     true
   | Wire.Add_edges { stream; edges } ->
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (handle_stream srv ~stream
          (Stream_loop.add_edges srv.streams ~stream ~edges));
     true
   | Wire.Seal { stream } ->
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (handle_stream srv ~stream (Stream_loop.seal srv.streams ~stream));
     true
   | Wire.Poll_stream { stream } ->
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (handle_stream srv ~stream (Stream_loop.poll srv.streams ~stream));
     true
   | Wire.Ping ->
-    respond ~trace_id:header.Wire.trace_id Wire.Pong;
+    respond ~trace_id Wire.Pong;
     true
   | Wire.Shutdown ->
-    respond ~trace_id:header.Wire.trace_id Wire.Shutting_down;
+    respond ~trace_id Wire.Shutting_down;
     request_stop_internal srv;
     false
   | Wire.Drain { backend } ->
@@ -525,11 +523,11 @@ let handle_request srv respond header = function
        notices quiescence and stops the daemon; the connection stays up
        so the drainer can poll until the process goes away. *)
     begin_drain srv;
-    respond ~trace_id:header.Wire.trace_id (Wire.Drain_ack { backend });
+    respond ~trace_id (Wire.Drain_ack { backend });
     true
   | Wire.Gossip _ ->
     Metrics.Counter.incr srv.errors;
-    respond ~trace_id:header.Wire.trace_id
+    respond ~trace_id
       (Wire.Error
          {
            code = Wire.Bad_request;
@@ -599,8 +597,8 @@ let handle_conn srv fd =
         (match respond ~trace_id:0L (Wire.Error { code = Wire.Bad_request; message = msg }) with
         | () -> loop ()
         | exception _ -> ())
-      | Ok (header, req) -> (
-        match handle_request srv respond header req with
+      | Ok (trace_id, req) -> (
+        match handle_request srv respond ~trace_id req with
         | true -> loop ()
         | false -> ()
         | exception _ -> ()))

@@ -24,8 +24,8 @@
     per-connection table) in Prometheus or JSON form.
 
     Every [Schedule] request carries a {!Flb_obs.Trace_context} id,
-    taken from the wire header (v2 peers) or minted server-side (v1
-    peers, or an unset id), and echoed in the response header. When the
+    taken from the wire header or minted server-side when the header's
+    id is unset (0), and echoed in the response header. When the
     server [config] carries an enabled tracer, each request emits
     queue-wait / cache / schedule / execute spans on its own
     ["req-<id>"] track and the scheduler's probe phases land on their
@@ -35,7 +35,7 @@
 
     {2 Streaming}
 
-    The v3 streaming messages ([Open_stream], [Add_tasks], [Add_edges],
+    The streaming messages ([Open_stream], [Add_tasks], [Add_edges],
     [Seal], [Poll_stream]) are routed to a
     {!Flb_stream.Scheduler_loop}: a per-stream session table with
     admission control and idle eviction, scheduling rounds that batch

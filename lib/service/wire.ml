@@ -10,8 +10,6 @@ type gossip_digest = {
   splits_epoch : int;
 }
 
-let empty_digest = { entries = []; splits = []; splits_epoch = 0 }
-
 type request =
   | Schedule of { graph : string; algo : string; procs : int }
   | Get_metrics
@@ -19,7 +17,7 @@ type request =
   | Get_load
   | Ping
   | Shutdown
-  | Open_stream of { algo : string; procs : int; batch_tasks : int }
+  | Open_stream of { algo : string; procs : int }
   | Add_tasks of { stream : int; comps : float array }
   | Add_edges of { stream : int; edges : (int * int * float) array }
   | Seal of { stream : int }
@@ -81,13 +79,7 @@ type response =
   | Gossip_ack of { digest : gossip_digest }
   | Drain_ack of { backend : string }
 
-let version = 4
-
-let min_version = 1
-
-type header = { header_version : int; trace_id : int64 }
-
-let header_v1 = { header_version = 1; trace_id = 0L }
+let version = 5
 
 let default_max_frame = 16 * 1024 * 1024
 
@@ -164,31 +156,30 @@ let get_bool cur what =
   | 1 -> true
   | n -> raise (Malformed (Printf.sprintf "%s: bad boolean %d" what n))
 
-(* The header: a version byte, then — from v2 on — the 8-byte trace id.
-   v1 payloads carry no id and decode with trace_id = 0. *)
+(* The header: the version byte, then the 8-byte trace id. Any other
+   version is refused before its layout is guessed at. *)
 let put_header buf ~trace_id =
   put_u8 buf version;
   put_i64 buf trace_id
 
 let get_header cur =
   let v = get_u8 cur "version" in
-  if v < min_version || v > version then
+  if v <> version then
     raise (Malformed (Printf.sprintf "unsupported protocol version %d" v));
-  let trace_id = if v >= 2 then get_i64 cur "trace id" else 0L in
-  { header_version = v; trace_id }
+  get_i64 cur "trace id"
 
 let decode what payload read =
   try
     let cur = { payload; pos = 0 } in
-    let header = get_header cur in
-    let value = read header cur in
+    let trace_id = get_header cur in
+    let value = read cur in
     if cur.pos <> String.length payload then
       raise
         (Malformed
            (Printf.sprintf "%d trailing bytes after %s"
               (String.length payload - cur.pos)
               what));
-    Result.Ok (header, value)
+    Result.Ok (trace_id, value)
   with Malformed msg -> Result.Error (what ^ ": " ^ msg)
 
 (* --- requests --- *)
@@ -294,11 +285,10 @@ let put_request buf r =
     put_u8 buf 5;
     put_u8 buf (stats_format_to_int fmt)
   | Get_load -> put_u8 buf 6
-  | Open_stream { algo; procs; batch_tasks } ->
+  | Open_stream { algo; procs } ->
     put_u8 buf 7;
     put_string buf algo;
-    put_i32 buf procs;
-    put_i32 buf batch_tasks
+    put_i32 buf procs
   | Add_tasks { stream; comps } ->
     put_u8 buf 8;
     put_i32 buf stream;
@@ -327,53 +317,8 @@ let encode_request ?(trace_id = 0L) r =
   put_request buf r;
   Buffer.contents buf
 
-let check_not_v3_request ~who r =
-  match r with
-  | Open_stream _ | Add_tasks _ | Add_edges _ | Seal _ | Poll_stream _ ->
-    invalid_arg (Printf.sprintf "Wire.%s: streaming messages are v3-only" who)
-  | _ -> ()
-
-let check_not_v4_request ~who r =
-  match r with
-  | Gossip _ | Drain _ ->
-    invalid_arg (Printf.sprintf "Wire.%s: gossip/drain messages are v4-only" who)
-  | _ -> ()
-
-(* v1 framing, for peers (and compatibility tests) that predate the
-   trace-id header. Messages that did not exist in v1 cannot be sent. *)
-let encode_request_v1 r =
-  (match r with
-  | Get_stats _ -> invalid_arg "Wire.encode_request_v1: Get_stats is v2-only"
-  | Get_load -> invalid_arg "Wire.encode_request_v1: Get_load is v2-only"
-  | _ ->
-    check_not_v3_request ~who:"encode_request_v1" r;
-    check_not_v4_request ~who:"encode_request_v1" r);
-  let buf = Buffer.create 256 in
-  put_u8 buf 1;
-  put_request buf r;
-  Buffer.contents buf
-
-(* v2 framing (trace id, no streaming): what a PR 6/7-era peer sends. *)
-let encode_request_v2 ?(trace_id = 0L) r =
-  check_not_v3_request ~who:"encode_request_v2" r;
-  check_not_v4_request ~who:"encode_request_v2" r;
-  let buf = Buffer.create 256 in
-  put_u8 buf 2;
-  put_i64 buf trace_id;
-  put_request buf r;
-  Buffer.contents buf
-
-(* v3 framing (streaming, no gossip/drain): what a PR 8/9-era peer sends. *)
-let encode_request_v3 ?(trace_id = 0L) r =
-  check_not_v4_request ~who:"encode_request_v3" r;
-  let buf = Buffer.create 256 in
-  put_u8 buf 3;
-  put_i64 buf trace_id;
-  put_request buf r;
-  Buffer.contents buf
-
 let decode_request payload =
-  decode "request" payload (fun header cur ->
+  decode "request" payload (fun cur ->
       match get_u8 cur "tag" with
       | 1 ->
         let graph = get_string cur "graph" in
@@ -383,31 +328,27 @@ let decode_request payload =
       | 2 -> Get_metrics
       | 3 -> Ping
       | 4 -> Shutdown
-      | 5 when header.header_version >= 2 ->
-        Get_stats (stats_format_of_int (get_u8 cur "stats format"))
-      | 6 when header.header_version >= 2 -> Get_load
-      | 7 when header.header_version >= 3 ->
+      | 5 -> Get_stats (stats_format_of_int (get_u8 cur "stats format"))
+      | 6 -> Get_load
+      | 7 ->
         let algo = get_string cur "algo" in
         let procs = get_i32 cur "procs" in
-        let batch_tasks = get_i32 cur "batch_tasks" in
-        Open_stream { algo; procs; batch_tasks }
-      | 8 when header.header_version >= 3 ->
+        Open_stream { algo; procs }
+      | 8 ->
         let stream = get_i32 cur "stream" in
         let comps = get_f64_array cur "comps" in
         Add_tasks { stream; comps }
-      | 9 when header.header_version >= 3 ->
+      | 9 ->
         let stream = get_i32 cur "stream" in
         let edges = get_triple_array cur "edges" in
         Add_edges { stream; edges }
-      | 10 when header.header_version >= 3 -> Seal { stream = get_i32 cur "stream" }
-      | 11 when header.header_version >= 3 ->
-        Poll_stream { stream = get_i32 cur "stream" }
-      | 12 when header.header_version >= 4 ->
+      | 10 -> Seal { stream = get_i32 cur "stream" }
+      | 11 -> Poll_stream { stream = get_i32 cur "stream" }
+      | 12 ->
         let from = get_string cur "gossip from" in
         let digest = get_digest cur in
         Gossip { from; digest }
-      | 13 when header.header_version >= 4 ->
-        Drain { backend = get_string cur "drain backend" }
+      | 13 -> Drain { backend = get_string cur "drain backend" }
       | n -> raise (Malformed (Printf.sprintf "unknown request tag %d" n)))
 
 (* --- responses --- *)
@@ -431,9 +372,7 @@ let error_code_of_int = function
   | 7 -> Edge_rejected
   | n -> raise (Malformed (Printf.sprintf "unknown error code %d" n))
 
-(* [v] gates version-dependent fields: a v1 Scheduled has no latency
-   breakdown. *)
-let put_response buf ~v r =
+let put_response buf r =
   match r with
   | Scheduled { schedule; makespan; speedup; nsl; cache_hit; breakdown } ->
     put_u8 buf 1;
@@ -442,12 +381,10 @@ let put_response buf ~v r =
     put_f64 buf speedup;
     put_f64 buf nsl;
     put_bool buf cache_hit;
-    if v >= 2 then begin
-      put_f64 buf breakdown.queue_wait_s;
-      put_f64 buf breakdown.cache_s;
-      put_f64 buf breakdown.sched_s;
-      put_f64 buf breakdown.exec_s
-    end
+    put_f64 buf breakdown.queue_wait_s;
+    put_f64 buf breakdown.cache_s;
+    put_f64 buf breakdown.sched_s;
+    put_f64 buf breakdown.exec_s
   | Metrics_text text ->
     put_u8 buf 2;
     put_string buf text
@@ -489,52 +426,11 @@ let put_response buf ~v r =
 let encode_response ?(trace_id = 0L) r =
   let buf = Buffer.create 256 in
   put_header buf ~trace_id;
-  put_response buf ~v:version r;
-  Buffer.contents buf
-
-let check_not_v3_response ~who r =
-  match r with
-  | Stream_opened _ | Placed _ ->
-    invalid_arg (Printf.sprintf "Wire.%s: streaming messages are v3-only" who)
-  | _ -> ()
-
-let check_not_v4_response ~who r =
-  match r with
-  | Gossip_ack _ | Drain_ack _ ->
-    invalid_arg (Printf.sprintf "Wire.%s: gossip/drain messages are v4-only" who)
-  | _ -> ()
-
-let encode_response_v1 r =
-  (match r with
-  | Stats_text _ -> invalid_arg "Wire.encode_response_v1: Stats_text is v2-only"
-  | Load _ -> invalid_arg "Wire.encode_response_v1: Load is v2-only"
-  | _ ->
-    check_not_v3_response ~who:"encode_response_v1" r;
-    check_not_v4_response ~who:"encode_response_v1" r);
-  let buf = Buffer.create 256 in
-  put_u8 buf 1;
-  put_response buf ~v:1 r;
-  Buffer.contents buf
-
-let encode_response_v2 ?(trace_id = 0L) r =
-  check_not_v3_response ~who:"encode_response_v2" r;
-  check_not_v4_response ~who:"encode_response_v2" r;
-  let buf = Buffer.create 256 in
-  put_u8 buf 2;
-  put_i64 buf trace_id;
-  put_response buf ~v:2 r;
-  Buffer.contents buf
-
-let encode_response_v3 ?(trace_id = 0L) r =
-  check_not_v4_response ~who:"encode_response_v3" r;
-  let buf = Buffer.create 256 in
-  put_u8 buf 3;
-  put_i64 buf trace_id;
-  put_response buf ~v:3 r;
+  put_response buf r;
   Buffer.contents buf
 
 let decode_response payload =
-  decode "response" payload (fun header cur ->
+  decode "response" payload (fun cur ->
       match get_u8 cur "tag" with
       | 1 ->
         let schedule = get_string cur "schedule" in
@@ -542,15 +438,11 @@ let decode_response payload =
         let speedup = get_f64 cur "speedup" in
         let nsl = get_f64 cur "nsl" in
         let cache_hit = get_bool cur "cache_hit" in
-        let breakdown =
-          if header.header_version >= 2 then
-            let queue_wait_s = get_f64 cur "queue_wait_s" in
-            let cache_s = get_f64 cur "cache_s" in
-            let sched_s = get_f64 cur "sched_s" in
-            let exec_s = get_f64 cur "exec_s" in
-            { queue_wait_s; cache_s; sched_s; exec_s }
-          else no_breakdown
-        in
+        let queue_wait_s = get_f64 cur "queue_wait_s" in
+        let cache_s = get_f64 cur "cache_s" in
+        let sched_s = get_f64 cur "sched_s" in
+        let exec_s = get_f64 cur "exec_s" in
+        let breakdown = { queue_wait_s; cache_s; sched_s; exec_s } in
         Scheduled { schedule; makespan; speedup; nsl; cache_hit; breakdown }
       | 2 -> Metrics_text (get_string cur "metrics")
       | 3 -> Pong
@@ -560,8 +452,8 @@ let decode_response payload =
         let code = error_code_of_int (get_u8 cur "error code") in
         let message = get_string cur "message" in
         Error { code; message }
-      | 7 when header.header_version >= 2 -> Stats_text (get_string cur "stats")
-      | 8 when header.header_version >= 2 ->
+      | 7 -> Stats_text (get_string cur "stats")
+      | 8 ->
         let uptime_s = get_f64 cur "uptime_s" in
         let pending = get_i32 cur "pending" in
         let cache_entries = get_i32 cur "cache_entries" in
@@ -577,18 +469,16 @@ let decode_response payload =
             scheduled_total;
             connections;
           }
-      | 9 when header.header_version >= 3 ->
-        Stream_opened { stream = get_i32 cur "stream" }
-      | 10 when header.header_version >= 3 ->
+      | 9 -> Stream_opened { stream = get_i32 cur "stream" }
+      | 10 ->
         let stream = get_i32 cur "stream" in
         let round = get_i32 cur "round" in
         let final = get_bool cur "final" in
         let makespan = get_f64 cur "makespan" in
         let placements = get_triple_array cur "placements" in
         Placed { stream; round; final; makespan; placements }
-      | 11 when header.header_version >= 4 -> Gossip_ack { digest = get_digest cur }
-      | 12 when header.header_version >= 4 ->
-        Drain_ack { backend = get_string cur "drained backend" }
+      | 11 -> Gossip_ack { digest = get_digest cur }
+      | 12 -> Drain_ack { backend = get_string cur "drained backend" }
       | n -> raise (Malformed (Printf.sprintf "unknown response tag %d" n)))
 
 (* --- framing --- *)

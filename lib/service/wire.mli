@@ -2,28 +2,26 @@
 
     Every message travels as one {e frame}: a 4-byte big-endian payload
     length followed by the payload itself. The payload starts with a
-    one-byte protocol version; from version 2 on, an 8-byte big-endian
-    trace id follows (the request-scoped {!Flb_obs.Trace_context} id,
-    echoed back in the response header), then a one-byte message tag and
-    the tag's fields. Strings are 4-byte-length-prefixed, floats travel
-    as IEEE-754 bit patterns, so [decode ∘ encode] is the identity on
-    every value (including non-finite floats).
+    one-byte protocol version ({!version}), then an 8-byte big-endian
+    trace id (the request-scoped {!Flb_obs.Trace_context} id, echoed
+    back in the response header), then a one-byte message tag and the
+    tag's fields. Strings are 4-byte-length-prefixed, floats travel as
+    IEEE-754 bit patterns, so [decode ∘ encode] is the identity on every
+    value (including non-finite floats).
 
-    Version 1 frames (no trace id; [Scheduled] without the latency
-    breakdown; no [Get_stats]/[Stats_text]) still decode — the header
-    reports [trace_id = 0] and the breakdown reads as zeros — so old
-    clients keep working against a new daemon and vice versa. Version 2
-    frames (trace id, no streaming messages) likewise still decode.
-    Version 3 adds the streaming conversation: [Open_stream] →
-    [Stream_opened], then batches of [Add_tasks]/[Add_edges] answered
-    with incremental [Placed] notifications, closed by [Seal] (or
-    drained on demand with [Poll_stream]). The v1/v2 encoders raise on
-    these — a pre-streaming peer cannot express them. Version 4 adds
-    the router-tier hardening messages: [Gossip] → [Gossip_ack]
-    (replicated routers exchanging per-backend status epochs and the
-    split-shard set) and [Drain] → [Drain_ack] (graceful backend
-    removal). The v1/v2/v3 encoders raise on these, mirroring the v3
-    precedent.
+    The protocol has one version. A payload whose version byte is not
+    {!version} decodes to [Error "...: unsupported protocol version N"]
+    whatever follows it; the daemon and the router answer that with
+    [Error { code = Bad_request }] and keep serving the connection.
+
+    Besides one-shot [Schedule] requests the protocol carries the
+    streaming conversation — [Open_stream] → [Stream_opened], then
+    batches of [Add_tasks]/[Add_edges] answered with incremental
+    [Placed] notifications, closed by [Seal] (or drained on demand with
+    [Poll_stream]) — and the router-tier messages: [Gossip] →
+    [Gossip_ack] (replicated routers exchanging per-backend status
+    epochs and the split-shard set) and [Drain] → [Drain_ack] (graceful
+    backend removal).
 
     Decoding never raises on untrusted input: malformed frames (bad
     version, unknown tag, truncated fields, trailing garbage) come back
@@ -37,8 +35,8 @@ type stats_format =
   | Stats_json  (** One JSON object with cache/pool/connection detail. *)
 
 (** A backend's health as one router believes it, carried in gossip
-    digests (v4-only). Mirrors [Flb_router.Backend.status] without
-    making the wire layer depend on the router. *)
+    digests. Mirrors [Flb_router.Backend.status] without making the
+    wire layer depend on the router. *)
 type peer_status = Peer_up | Peer_draining | Peer_down
 
 (** One backend's (status, epoch) pair. The epoch is a per-backend
@@ -56,47 +54,45 @@ type gossip_digest = {
   splits_epoch : int;
 }
 
-val empty_digest : gossip_digest
-
 type request =
   | Schedule of { graph : string; algo : string; procs : int }
       (** [graph] in the {!Flb_taskgraph.Serial} text format; [algo] as
           understood by {!Flb_experiments.Registry.find}. *)
   | Get_metrics  (** Prometheus exposition of the server registry. *)
   | Get_stats of stats_format
-      (** Live introspection snapshot (v2-only): metrics registry,
-          cache hit rate, pool depth, per-connection state. *)
+      (** Live introspection snapshot: metrics registry, cache hit
+          rate, pool depth, per-connection state. *)
   | Get_load
-      (** Lightweight binary load probe (v2-only): the handful of
-          numbers a router's balancer needs — queue depth, cache hit
-          rate, request count — without rendering a full [Get_stats]
+      (** Lightweight binary load probe: the handful of numbers a
+          router's balancer needs — queue depth, cache hit rate,
+          request count — without rendering a full [Get_stats]
           snapshot. Answered with {!response.Load}. *)
   | Ping
   | Shutdown  (** Ask the daemon to drain and exit. *)
-  | Open_stream of { algo : string; procs : int; batch_tasks : int }
-      (** Open a streaming session (v3-only). [batch_tasks = 0] leaves
-          the server's scheduling-round threshold at its default. *)
+  | Open_stream of { algo : string; procs : int }
+      (** Open a streaming session. The scheduling-round threshold is
+          the daemon's ([flb serve --stream-batch-tasks]). *)
   | Add_tasks of { stream : int; comps : float array }
       (** Append weighted tasks; ids are assigned consecutively from the
-          stream's current task count (v3-only). *)
+          stream's current task count. *)
   | Add_edges of { stream : int; edges : (int * int * float) array }
       (** Append [(src, dst, comm)] dependences. Edges into tasks the
           server has already dispatched are rejected with
-          {!error_code.Edge_rejected} (v3-only). *)
+          {!error_code.Edge_rejected}. *)
   | Seal of { stream : int }
       (** Declare the graph complete; the answer is the final [Placed]
-          and the stream closes (v3-only). *)
+          and the stream closes. *)
   | Poll_stream of { stream : int }
-      (** Drain pending placements without appending (v3-only). *)
+      (** Drain pending placements without appending. *)
   | Gossip of { from : string; digest : gossip_digest }
-      (** Symmetric anti-entropy exchange between router replicas
-          (v4-only): [from] is the sender's advertised address, the
-          digest its current view. Answered with {!response.Gossip_ack}
-          carrying the receiver's post-merge view. *)
+      (** Symmetric anti-entropy exchange between router replicas:
+          [from] is the sender's advertised address, the digest its
+          current view. Answered with {!response.Gossip_ack} carrying
+          the receiver's post-merge view. *)
   | Drain of { backend : string }
-      (** Graceful removal (v4-only). Sent to a router, [backend] names
-          the member to flip to [Draining] (and gossip onward); sent to
-          a daemon with [backend = ""], the daemon itself finishes
+      (** Graceful removal. Sent to a router, [backend] names the
+          member to flip to [Draining] (and gossip onward); sent to a
+          daemon with [backend = ""], the daemon itself finishes
           in-flight work and streams, then exits. *)
 
 type error_code =
@@ -113,7 +109,7 @@ type error_code =
 
 (** Server-side latency breakdown of one [Schedule] request, in
     seconds. Zero fields where a stage did not run (a cache hit has no
-    queue wait or compute). v1 peers always read zeros. *)
+    queue wait or compute). *)
 type breakdown = {
   queue_wait_s : float;  (** Enqueue to pickup by a worker domain. *)
   cache_s : float;  (** Cache key + lookup. *)
@@ -125,8 +121,8 @@ type breakdown = {
 val no_breakdown : breakdown
 (** All zeros. *)
 
-(** One daemon's point-in-time load, as answered to {!request.Get_load}
-    (v2-only). Fixed-size binary — cheap enough for a router to poll
+(** One daemon's point-in-time load, as answered to {!request.Get_load}.
+    Fixed-size binary — cheap enough for a router to poll
     every health-check period. *)
 type load = {
   uptime_s : float;
@@ -148,14 +144,14 @@ type response =
     }
   | Metrics_text of string
   | Stats_text of string  (** [Get_stats] answer, pre-rendered in the
-                              requested format (v2-only). *)
-  | Load of load  (** [Get_load] answer (v2-only). *)
+                              requested format. *)
+  | Load of load  (** [Get_load] answer. *)
   | Pong
   | Shutting_down
   | Overloaded
       (** Admission control: the work queue is full; retry later. *)
   | Error of { code : error_code; message : string }
-  | Stream_opened of { stream : int }  (** [Open_stream] answer (v3-only). *)
+  | Stream_opened of { stream : int }  (** [Open_stream] answer. *)
   | Placed of {
       stream : int;
       round : int;  (** Scheduling rounds this stream has been part of. *)
@@ -163,30 +159,17 @@ type response =
       makespan : float;  (** Max finish over the stream's placed tasks. *)
       placements : (int * int * float) array;
           (** Newly dispatched [(task, proc, start)] placements, drained
-              from the stream's outbox (v3-only). Placements are
-              immutable once announced. *)
+              from the stream's outbox. Placements are immutable once
+              announced. *)
     }
   | Gossip_ack of { digest : gossip_digest }
-      (** The receiver's view after merging the incoming digest
-          (v4-only); the sender merges it back, making one exchange
-          symmetric. *)
+      (** The receiver's view after merging the incoming digest; the
+          sender merges it back, making one exchange symmetric. *)
   | Drain_ack of { backend : string }
       (** Drain accepted; echoes the drained member ("" = self). *)
 
 val version : int
-(** Current protocol version (4). *)
-
-val min_version : int
-(** Oldest version still decoded (1). *)
-
-(** Decoded payload header. *)
-type header = {
-  header_version : int;  (** The version the peer actually spoke. *)
-  trace_id : int64;  (** 0 when absent (v1) or unset. *)
-}
-
-val header_v1 : header
-(** [{header_version = 1; trace_id = 0L}]. *)
+(** The protocol version (5), the first byte of every payload. *)
 
 val default_max_frame : int
 (** 16 MiB: generous for V ≈ 10^5 task graphs, small enough that a
@@ -197,42 +180,15 @@ val error_code_to_string : error_code -> string
 (** {1 Payload codecs} *)
 
 val encode_request : ?trace_id:int64 -> request -> string
-(** Current-version (v4) encoding; [trace_id] defaults to 0 (absent). *)
+(** [trace_id] defaults to 0 (unset). *)
 
-val decode_request : string -> (header * request, string) result
+val decode_request : string -> (int64 * request, string) result
+(** The header's trace id and the request. *)
 
 val encode_response : ?trace_id:int64 -> response -> string
 
-val decode_response : string -> (header * response, string) result
-
-val encode_request_v1 : request -> string
-(** Legacy v1 encoding, kept for compatibility tests and old peers.
-    @raise Invalid_argument on [Get_stats] and [Get_load] (v2-only),
-    the streaming messages (v3-only) and the gossip/drain messages
-    (v4-only), which v1 cannot express. *)
-
-val encode_response_v1 : response -> string
-(** Legacy v1 encoding; a [Scheduled] drops its breakdown.
-    @raise Invalid_argument on [Stats_text], [Load], [Stream_opened],
-    [Placed], [Gossip_ack] and [Drain_ack]. *)
-
-val encode_request_v2 : ?trace_id:int64 -> request -> string
-(** Legacy v2 encoding (trace id, no streaming).
-    @raise Invalid_argument on the v3-only streaming messages and the
-    v4-only gossip/drain messages. *)
-
-val encode_response_v2 : ?trace_id:int64 -> response -> string
-(** Legacy v2 encoding.
-    @raise Invalid_argument on [Stream_opened], [Placed], [Gossip_ack]
-    and [Drain_ack]. *)
-
-val encode_request_v3 : ?trace_id:int64 -> request -> string
-(** Legacy v3 encoding (streaming, no gossip/drain).
-    @raise Invalid_argument on the v4-only gossip/drain messages. *)
-
-val encode_response_v3 : ?trace_id:int64 -> response -> string
-(** Legacy v3 encoding.
-    @raise Invalid_argument on [Gossip_ack] and [Drain_ack]. *)
+val decode_response : string -> (int64 * response, string) result
+(** The header's trace id and the response. *)
 
 (** {1 Framing} *)
 

@@ -377,9 +377,8 @@ let start_fake behavior =
       | Error _ -> ()
       | Ok payload -> (
         match Wire.decode_request payload with
-        | Ok (h, Wire.Ping) ->
-          Wire.write_frame oc
-            (Wire.encode_response ~trace_id:h.Wire.trace_id Wire.Pong);
+        | Ok (trace_id, Wire.Ping) ->
+          Wire.write_frame oc (Wire.encode_response ~trace_id Wire.Pong);
           loop ()
         | Ok (_, Wire.Schedule _) -> (
           match behavior with
@@ -974,6 +973,54 @@ let test_connection_churn () =
           check_bool "connections churned" true (Atomic.get pings > 50);
           check_bool "schedules kept flowing" true (Atomic.get schedules > 10)))
 
+(* --- retired protocol versions --- *)
+
+(* A Ping as protocol versions 1–4 framed it: tag 3 after the version
+   byte, with an 8-byte trace id in between from version 2 on. *)
+let old_ping v =
+  if v = 1 then "\x01\x03"
+  else String.make 1 (Char.chr v) ^ String.make 8 '\000' ^ "\x03"
+
+let test_old_versions_refused () =
+  (* Each old Ping gets one Bad_request naming its version, and the
+     same connection then answers a current Ping: a second answer to the
+     old frame would arrive in the Pong's place. *)
+  let refuses ~who port =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    let oc = Unix.out_channel_of_descr fd in
+    let ic = Unix.in_channel_of_descr fd in
+    let answer () =
+      match Wire.read_frame ic with
+      | Ok payload -> Result.map snd (Wire.decode_response payload)
+      | Error e -> Error (Wire.read_error_to_string e)
+    in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        for v = 1 to 4 do
+          Wire.write_frame oc (old_ping v);
+          (match answer () with
+          | Ok (Wire.Error { code = Wire.Bad_request; message }) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, v%d: message" who v)
+              (Printf.sprintf "request: unsupported protocol version %d" v)
+              message
+          | Ok _ -> Alcotest.failf "%s answered a v%d Ping without Bad_request" who v
+          | Error msg -> Alcotest.failf "%s, v%d: %s" who v msg);
+          Wire.write_frame oc (Wire.encode_request Wire.Ping);
+          match answer () with
+          | Ok Wire.Pong -> ()
+          | Ok _ -> Alcotest.failf "%s, after v%d: current Ping not answered Pong" who v
+          | Error msg -> Alcotest.failf "%s, after v%d: %s" who v msg
+        done)
+  in
+  with_servers 1 (fun servers ->
+      let daemon = Server.port (List.hd servers) in
+      refuses ~who:"daemon" daemon;
+      with_router [ ("127.0.0.1", daemon) ] (fun _router port ->
+          refuses ~who:"router" port))
+
 let suite =
   [
     Alcotest.test_case "ring: determinism, distinctness, membership" `Quick
@@ -1015,6 +1062,8 @@ let suite =
       test_router_parses_once;
     Alcotest.test_case "connection churn closes each descriptor once" `Quick
       test_connection_churn;
+    Alcotest.test_case "old wire versions get one Bad_request" `Quick
+      test_old_versions_refused;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite_ring
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite_gossip

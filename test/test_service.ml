@@ -52,9 +52,9 @@ let gen_request =
         (1, return Wire.Ping);
         (1, return Wire.Shutdown);
         ( 2,
-          map3
-            (fun algo procs batch_tasks -> Wire.Open_stream { algo; procs; batch_tasks })
-            gen_bytes (int_range 0 1000) (int_range 0 1000) );
+          map2
+            (fun algo procs -> Wire.Open_stream { algo; procs })
+            gen_bytes (int_range 0 1000) );
         ( 2,
           map2
             (fun stream comps -> Wire.Add_tasks { stream; comps = Array.of_list comps })
@@ -149,8 +149,8 @@ let show_request = function
   | Wire.Get_load -> "Get_load"
   | Wire.Ping -> "Ping"
   | Wire.Shutdown -> "Shutdown"
-  | Wire.Open_stream { algo; procs; batch_tasks } ->
-    Printf.sprintf "Open_stream{algo=%S; procs=%d; batch=%d}" algo procs batch_tasks
+  | Wire.Open_stream { algo; procs } ->
+    Printf.sprintf "Open_stream{algo=%S; procs=%d}" algo procs
   | Wire.Add_tasks { stream; comps } ->
     Printf.sprintf "Add_tasks{stream=%d; n=%d}" stream (Array.length comps)
   | Wire.Add_edges { stream; edges } ->
@@ -199,29 +199,46 @@ let gen_trace_id =
       (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
       (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF))
 
-let v3_only_request = function
-  | Wire.Open_stream _ | Wire.Add_tasks _ | Wire.Add_edges _ | Wire.Seal _
-  | Wire.Poll_stream _ ->
-    true
-  | _ -> false
+(* The payload header as wire.mli lays it out: the version byte, then
+   the 8-byte big-endian trace id. *)
+let wire_header ?(trace_id = 0L) () =
+  let b = Bytes.create 9 in
+  Bytes.set_uint8 b 0 Wire.version;
+  Bytes.set_int64_be b 1 trace_id;
+  Bytes.to_string b
 
-let v3_only_response = function
-  | Wire.Stream_opened _ | Wire.Placed _ -> true
-  | _ -> false
-
-let v4_only_request = function Wire.Gossip _ | Wire.Drain _ -> true | _ -> false
-
-let v4_only_response = function
-  | Wire.Gossip_ack _ | Wire.Drain_ack _ -> true
-  | _ -> false
-
-let v1_request = function
-  | Wire.Get_stats _ | Wire.Get_load -> false
-  | r -> not (v3_only_request r) && not (v4_only_request r)
-
-let v1_response = function
-  | Wire.Stats_text _ | Wire.Load _ -> false
-  | r -> not (v3_only_response r) && not (v4_only_response r)
+(* Inputs for the never-raises property. Uniform bytes pass the version
+   check one time in 256, so two more kinds reach the tag decoders: a
+   valid header with a random tag and body, and real encodings cut short
+   or with one byte changed. *)
+let gen_hostile_payload =
+  QCheck.Gen.(
+    let framed =
+      map3
+        (fun trace_id tag body ->
+          wire_header ~trace_id () ^ String.make 1 (Char.chr tag) ^ body)
+        gen_trace_id (int_range 0 15) gen_bytes
+    in
+    let damaged =
+      oneof
+        [
+          map2 (fun trace_id r -> Wire.encode_request ~trace_id r) gen_trace_id gen_request;
+          map2 (fun trace_id r -> Wire.encode_response ~trace_id r) gen_trace_id gen_response;
+        ]
+      >>= fun s ->
+      let n = String.length s in
+      oneof
+        [
+          map (fun k -> String.sub s 0 k) (int_range 0 (n - 1));
+          map2
+            (fun i x ->
+              let b = Bytes.of_string s in
+              Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor x);
+              Bytes.to_string b)
+            (int_range 0 (n - 1)) (int_range 1 255);
+        ]
+    in
+    oneof [ gen_bytes; framed; damaged ])
 
 (* Structural compare instead of (=): it treats nan as equal to itself,
    and the codec stores float bit patterns so nan round-trips. *)
@@ -233,10 +250,7 @@ let qsuite_wire =
          QCheck.Gen.(pair gen_trace_id gen_request))
       (fun (trace_id, r) ->
         match Wire.decode_request (Wire.encode_request ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = Wire.version
-          && h.Wire.trace_id = trace_id
-          && compare r r' = 0
+        | Ok (id, r') -> id = trace_id && compare r r' = 0
         | Error _ -> false);
     qtest ~count:300 "response decode ∘ encode = id, header echoed"
       (QCheck.make
@@ -244,123 +258,48 @@ let qsuite_wire =
          QCheck.Gen.(pair gen_trace_id gen_response))
       (fun (trace_id, r) ->
         match Wire.decode_response (Wire.encode_response ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = Wire.version
-          && h.Wire.trace_id = trace_id
-          && compare r r' = 0
+        | Ok (id, r') -> id = trace_id && compare r r' = 0
         | Error _ -> false);
-    qtest ~count:300 "v1 request frames still decode"
-      (QCheck.make ~print:show_request gen_request) (fun r ->
-        QCheck.assume (v1_request r);
-        match Wire.decode_request (Wire.encode_request_v1 r) with
-        | Ok (h, r') -> compare h Wire.header_v1 = 0 && compare r r' = 0
-        | Error _ -> false);
-    qtest ~count:300 "v1 response frames decode, breakdown zeroed"
-      (QCheck.make ~print:show_response gen_response) (fun r ->
-        QCheck.assume (v1_response r);
-        let expect =
-          match r with
-          | Wire.Scheduled s -> Wire.Scheduled { s with breakdown = Wire.no_breakdown }
-          | r -> r
-        in
-        match Wire.decode_response (Wire.encode_response_v1 r) with
-        | Ok (h, r') -> compare h Wire.header_v1 = 0 && compare expect r' = 0
-        | Error _ -> false);
-    qtest ~count:300 "v2 request frames still decode, trace id intact"
-      (QCheck.make
-         ~print:(fun (id, r) -> Printf.sprintf "id=%Lx %s" id (show_request r))
-         QCheck.Gen.(pair gen_trace_id gen_request))
-      (fun (trace_id, r) ->
-        QCheck.assume (not (v3_only_request r) && not (v4_only_request r));
-        match Wire.decode_request (Wire.encode_request_v2 ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = 2 && h.Wire.trace_id = trace_id && compare r r' = 0
-        | Error _ -> false);
-    qtest ~count:300 "v2 response frames still decode, trace id intact"
-      (QCheck.make
-         ~print:(fun (id, r) -> Printf.sprintf "id=%Lx %s" id (show_response r))
-         QCheck.Gen.(pair gen_trace_id gen_response))
-      (fun (trace_id, r) ->
-        QCheck.assume (not (v3_only_response r) && not (v4_only_response r));
-        match Wire.decode_response (Wire.encode_response_v2 ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = 2 && h.Wire.trace_id = trace_id && compare r r' = 0
-        | Error _ -> false);
-    qtest ~count:300 "v3 request frames still decode, trace id intact"
-      (QCheck.make
-         ~print:(fun (id, r) -> Printf.sprintf "id=%Lx %s" id (show_request r))
-         QCheck.Gen.(pair gen_trace_id gen_request))
-      (fun (trace_id, r) ->
-        QCheck.assume (not (v4_only_request r));
-        match Wire.decode_request (Wire.encode_request_v3 ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = 3 && h.Wire.trace_id = trace_id && compare r r' = 0
-        | Error _ -> false);
-    qtest ~count:300 "v3 response frames still decode, trace id intact"
-      (QCheck.make
-         ~print:(fun (id, r) -> Printf.sprintf "id=%Lx %s" id (show_response r))
-         QCheck.Gen.(pair gen_trace_id gen_response))
-      (fun (trace_id, r) ->
-        QCheck.assume (not (v4_only_response r));
-        match Wire.decode_response (Wire.encode_response_v3 ~trace_id r) with
-        | Ok (h, r') ->
-          h.Wire.header_version = 3 && h.Wire.trace_id = trace_id && compare r r' = 0
-        | Error _ -> false);
-    qtest ~count:100 "pre-v3 encoders refuse streaming messages"
-      (QCheck.make ~print:show_request gen_request) (fun r ->
-        QCheck.assume (v3_only_request r);
-        let refuses f = match f r with exception Invalid_argument _ -> true | _ -> false in
-        refuses Wire.encode_request_v1 && refuses (Wire.encode_request_v2 ?trace_id:None));
-    qtest ~count:100 "pre-v4 encoders refuse gossip/drain requests"
-      (QCheck.make ~print:show_request gen_request) (fun r ->
-        QCheck.assume (v4_only_request r);
-        let refuses f = match f r with exception Invalid_argument _ -> true | _ -> false in
-        refuses Wire.encode_request_v1
-        && refuses (Wire.encode_request_v2 ?trace_id:None)
-        && refuses (Wire.encode_request_v3 ?trace_id:None));
-    qtest ~count:100 "pre-v4 encoders refuse gossip/drain responses"
-      (QCheck.make ~print:show_response gen_response) (fun r ->
-        QCheck.assume (v4_only_response r);
-        let refuses f = match f r with exception Invalid_argument _ -> true | _ -> false in
-        refuses Wire.encode_response_v1
-        && refuses (Wire.encode_response_v2 ?trace_id:None)
-        && refuses (Wire.encode_response_v3 ?trace_id:None));
-    qtest ~count:100 "decoding arbitrary bytes never raises"
-      (QCheck.make gen_bytes) (fun s ->
+    qtest ~count:1000 "decoding arbitrary bytes never raises"
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_hostile_payload) (fun s ->
         (match Wire.decode_request s with Ok _ | Error _ -> true)
         && (match Wire.decode_response s with Ok _ | Error _ -> true));
   ]
 
 let test_wire_malformed () =
-  let reject what payload =
-    match Wire.decode_request payload with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "accepted %s" what
+  (* [error], when given, is the exact message: it shows which check
+     refused the payload. *)
+  let reject ?error what payload =
+    match (Wire.decode_request payload, error) with
+    | Error msg, Some e -> Alcotest.(check string) what e msg
+    | Error _, None -> ()
+    | Ok _, _ -> Alcotest.failf "accepted %s" what
   in
+  let header = wire_header () in
   reject "empty payload" "";
-  reject "bad version" "\x07\x03";
-  reject "unknown tag" "\x01\x99";
-  reject "truncated Schedule" "\x01\x01\x00\x00\x00\x05ab";
-  (* a v2 payload that ends inside the 8-byte trace id *)
-  reject "truncated v2 header" "\x02\x00\x00\x00\x01";
-  (* tags 5 (Get_stats) and 6 (Get_load) do not exist in version 1 *)
-  reject "v2-only tag in a v1 frame" "\x01\x05\x00";
-  reject "v2-only Get_load in a v1 frame" "\x01\x06";
+  (* every version byte but the current one is refused, whatever the
+     rest of the payload says *)
+  let ping = Wire.encode_request Wire.Ping in
+  for v = 0 to 255 do
+    if v <> Wire.version then
+      reject
+        (Printf.sprintf "version %d" v)
+        ~error:(Printf.sprintf "request: unsupported protocol version %d" v)
+        (String.make 1 (Char.chr v) ^ String.sub ping 1 (String.length ping - 1))
+  done;
+  reject "unknown tag" ~error:"request: unknown request tag 153" (header ^ "\x99");
+  reject "truncated Schedule" ~error:"request: truncated payload: expected graph"
+    (header ^ "\x01\x00\x00\x00\x05ab");
+  (* a payload that ends inside the 8-byte trace id *)
+  reject "truncated header" ~error:"request: truncated payload: expected trace id"
+    (String.sub header 0 5);
   (* a valid Ping with trailing garbage must not decode *)
-  reject "trailing bytes" (Wire.encode_request Wire.Ping ^ "x");
-  (* streaming tags do not exist before version 3 *)
-  reject "v3-only tag in a v2 frame" "\x02\x00\x00\x00\x00\x00\x00\x00\x00\x07";
-  reject "v3-only tag in a v1 frame" "\x01\x0b";
-  (* gossip/drain tags do not exist before version 4 *)
-  reject "v4-only Gossip tag in a v3 frame"
-    "\x03\x00\x00\x00\x00\x00\x00\x00\x00\x0c";
-  reject "v4-only Drain tag in a v2 frame"
-    "\x02\x00\x00\x00\x00\x00\x00\x00\x00\x0d";
-  reject "v4-only tag in a v1 frame" "\x01\x0c";
+  reject "trailing bytes" (ping ^ "x");
   (* a gossip entry count that promises more bytes than the frame
      carries is rejected before any allocation *)
   reject "gossip entry count exceeding the frame"
-    "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x0c\x00\x00\x00\x00\x7f\xff\xff\xff";
+    ~error:"request: truncated payload: expected gossip entries"
+    (header ^ "\x0c\x00\x00\x00\x00\x7f\xff\xff\xff");
   (let full =
      Wire.encode_request
        (Wire.Gossip
@@ -385,52 +324,7 @@ let test_wire_malformed () =
   (let full =
      Wire.encode_request (Wire.Add_edges { stream = 1; edges = [| (0, 1, 2.0) |] })
    in
-   reject "truncated Add_edges array" (String.sub full 0 (String.length full - 4)));
-  (* the v1 encoders refuse messages v1 cannot express *)
-  check_raises_invalid "v1 cannot encode Get_stats" (fun () ->
-      ignore (Wire.encode_request_v1 (Wire.Get_stats Wire.Stats_json)));
-  check_raises_invalid "v1 cannot encode Get_load" (fun () ->
-      ignore (Wire.encode_request_v1 Wire.Get_load));
-  check_raises_invalid "v1 cannot encode Stats_text" (fun () ->
-      ignore (Wire.encode_response_v1 (Wire.Stats_text "x")));
-  check_raises_invalid "v1 cannot encode Load" (fun () ->
-      ignore
-        (Wire.encode_response_v1
-           (Wire.Load
-              {
-                Wire.uptime_s = 1.0;
-                pending = 0;
-                cache_entries = 0;
-                cache_hit_rate = 0.0;
-                scheduled_total = 0;
-                connections = 0;
-              })));
-  (* the v1/v2 encoders refuse streaming messages v3 introduced *)
-  check_raises_invalid "v1 cannot encode Open_stream" (fun () ->
-      ignore
-        (Wire.encode_request_v1
-           (Wire.Open_stream { algo = "flb"; procs = 2; batch_tasks = 0 })));
-  check_raises_invalid "v2 cannot encode Seal" (fun () ->
-      ignore (Wire.encode_request_v2 (Wire.Seal { stream = 0 })));
-  check_raises_invalid "v1 cannot encode Stream_opened" (fun () ->
-      ignore (Wire.encode_response_v1 (Wire.Stream_opened { stream = 0 })));
-  check_raises_invalid "v2 cannot encode Placed" (fun () ->
-      ignore
-        (Wire.encode_response_v2
-           (Wire.Placed
-              { stream = 0; round = 1; final = true; makespan = 0.0; placements = [||] })));
-  (* the v1/v2/v3 encoders refuse the gossip/drain messages v4 introduced *)
-  check_raises_invalid "v3 cannot encode Gossip" (fun () ->
-      ignore
-        (Wire.encode_request_v3 (Wire.Gossip { from = "r"; digest = Wire.empty_digest })));
-  check_raises_invalid "v3 cannot encode Drain" (fun () ->
-      ignore (Wire.encode_request_v3 (Wire.Drain { backend = "b" })));
-  check_raises_invalid "v2 cannot encode Drain" (fun () ->
-      ignore (Wire.encode_request_v2 (Wire.Drain { backend = "b" })));
-  check_raises_invalid "v3 cannot encode Gossip_ack" (fun () ->
-      ignore (Wire.encode_response_v3 (Wire.Gossip_ack { digest = Wire.empty_digest })));
-  check_raises_invalid "v1 cannot encode Drain_ack" (fun () ->
-      ignore (Wire.encode_response_v1 (Wire.Drain_ack { backend = "b" })))
+   reject "truncated Add_edges array" (String.sub full 0 (String.length full - 4)))
 
 let test_wire_framing () =
   let rd, wr = Unix.pipe () in
@@ -1035,7 +929,7 @@ let test_server_graceful_shutdown () =
   (* stop after the fact is a no-op *)
   Server.stop srv
 
-(* --- server: streaming sessions (wire v3) --- *)
+(* --- server: streaming sessions --- *)
 
 let okr = function Ok v -> v | Error msg -> Alcotest.fail msg
 
