@@ -11,9 +11,16 @@
 
    Flags select sections (--table1 --fig2 --fig3 --fig4 --ablation
    --complexity --duplication --granularity --multistep --mesh
-   --contention --random); no flag runs everything. --quick shrinks
-   graphs and sample counts for a fast smoke run; --csv DIR additionally
-   writes plot-ready CSV files for Figures 3 and 4. *)
+   --contention --random --runtime --resched); no flag runs everything.
+   --quick shrinks graphs and sample counts for a fast smoke run; --csv
+   DIR additionally writes plot-ready CSV files for Figures 3 and 4 and
+   the two runtime tables.
+
+   The allocation gate runs alone: --regress writes the bytes/task
+   baseline (--regress-out FILE, default BENCH_schedulers.json) and
+   --regress-check FILE compares a quick run against it. Latency,
+   throughput and real makespans are perfbench's to measure
+   (perfbench/README.md). *)
 
 open Bechamel
 open Toolkit
@@ -476,79 +483,6 @@ let () =
       Option.value (find argv) ~default:"BENCH_schedulers.json"
     in
     run_regress ~quick ~out;
-    (* The runtime suite rides along: same baseline-writing entry point,
-       but its numbers are wall-clock on live domains, so the file is a
-       trajectory record only — never diffed by CI. *)
-    let runtime_out =
-      let rec find = function
-        | "--runtime-out" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      Option.value (find argv) ~default:"BENCH_runtime.json"
-    in
-    let rows = run_runtime ~quick in
-    let resched_rows = run_resched ~quick in
-    Out_channel.with_open_text runtime_out (fun oc ->
-        output_string oc
-          (E.Runtime_real_exp.to_json
-             ~resched:(E.Resched_exp.rows_json resched_rows)
-             rows));
-    Printf.printf "[regress] wrote %s (trajectory only, never CI-checked)\n%!"
-      runtime_out;
-    (* Streaming-mode trajectory: a small in-process daemon driven by
-       Stream_bench over the E4 workloads. Placement latency is
-       wall-clock against live threads, so like the runtime suite this
-       file records the trajectory only — never diffed by CI. *)
-    let stream_out =
-      let rec find = function
-        | "--stream-out" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      Option.value (find argv) ~default:"BENCH_stream.json"
-    in
-    let clients = 2 and repeats = (if quick then 2 else 4) and batches = 4 in
-    let srv =
-      Flb_service.Server.start
-        { Flb_service.Server.default_config with port = 0; domains = 2 }
-    in
-    let port = Flb_service.Server.port srv in
-    let rows =
-      List.map
-        (fun workload ->
-          let graph =
-            E.Workload_suite.instance workload ~ccr:1.0 ~seed:1
-          in
-          let o =
-            Stream_bench.run ~clients ~repeats ~batches ~graph ~algo:"FLB"
-              ~procs:8 ~host:"127.0.0.1" ~port
-          in
-          let quant q =
-            if Flb_obs.Metrics.Histogram.count o.Stream_bench.latency > 0 then
-              Stream_bench.quantile_ms o q
-            else 0.0
-          in
-          Printf.sprintf
-            {|    {"workload": "%s", "streams_ok": %d, "dropped": %d, "placed": %d, "expected": %d, "rounds": %d, "wall_s": %.6f, "rounds_per_s": %.1f, "placement_ms": {"p50": %.3f, "p95": %.3f, "p99": %.3f}}|}
-            (E.Regress.Json.escape workload.E.Workload_suite.name)
-            o.Stream_bench.streams_ok o.Stream_bench.dropped
-            o.Stream_bench.placed o.Stream_bench.expected o.Stream_bench.rounds
-            o.Stream_bench.wall
-            (Stream_bench.rounds_per_s o)
-            (quant 0.5) (quant 0.95) (quant 0.99))
-        (E.Workload_suite.fig4_suite ~tasks:(if quick then 60 else 150) ())
-    in
-    Flb_service.Server.stop srv;
-    Out_channel.with_open_text stream_out (fun oc ->
-        Printf.fprintf oc
-          "{\n  \"suite\": \"stream\",\n  \"note\": \"trajectory only, never \
-           CI-checked\",\n  \"clients\": %d,\n  \"repeats\": %d,\n  \
-           \"batches\": %d,\n  \"workloads\": [\n%s\n  ]\n}\n"
-          clients repeats batches
-          (String.concat ",\n" rows));
-    Printf.printf "[regress] wrote %s (trajectory only, never CI-checked)\n%!"
-      stream_out;
     exit 0
   end;
   let all = not (has "--table1" || has "--fig2" || has "--fig3" || has "--fig4"

@@ -1,16 +1,15 @@
-(* Streaming-mode measurement core, shared by loadgen (--stream) and
-   the bench harness (--regress writes BENCH_stream.json).
+(* Streaming driver for loadgen's --stream mode; perfbench's stream
+   workload is the measured, host-recorded form of the same run.
 
    Drives [clients] concurrent streaming sessions against a daemon:
    each session ships one graph in [batches] topologically ordered
    task/edge batches (Flb_stream.Chunk.plan), polls after every batch
-   so placements arrive incrementally, and seals. Placement latency is
-   measured per task — the time from the Add_tasks call that shipped it
-   to the response that announced its placement — and observed into one
-   histogram; rounds are the per-stream final round counts summed, so
+   so placements arrive incrementally, and seals. Each placement's
+   latency — the time from the Add_tasks call that shipped the task to
+   the response that announced its placement — is kept as a raw sample;
+   rounds are the per-stream final round counts summed, so
    rounds-per-second reflects actual scheduling rounds, not calls. *)
 
-module Metrics = Flb_obs.Metrics
 module Client = Flb_service.Client
 module Chunk = Flb_stream.Chunk
 
@@ -21,22 +20,19 @@ type outcome = {
   placed : int;  (* placements received across all sessions *)
   expected : int;  (* clients * repeats * tasks *)
   dropped : int;  (* transport or protocol failures *)
-  latency : Metrics.Histogram.t;  (* placement latency, seconds *)
+  latency_ms : float array;  (* one sample per placement *)
 }
 
 let run ~clients ~repeats ~batches ~graph ~algo ~procs ~host ~port =
   let chunks = Chunk.plan ~chunks:batches graph in
   let tasks = Flb_taskgraph.Taskgraph.num_tasks graph in
-  let registry = Metrics.create () in
-  let latency =
-    Metrics.histogram registry ~help:"add-to-placement latency (s)"
-      "stream_placement_seconds"
-  in
   let rounds = Atomic.make 0 in
   let placed = Atomic.make 0 in
   let dropped = Atomic.make 0 in
   let streams_ok = Atomic.make 0 in
-  let one_stream client =
+  (* Each client thread appends to its own slot; merged after the join. *)
+  let samples = Array.make clients [] in
+  let one_stream id client =
     match Client.open_stream client ~algo ~procs with
     | Error msg ->
       Printf.eprintf "stream open failed: %s\n%!" msg;
@@ -49,7 +45,7 @@ let run ~clients ~repeats ~batches ~graph ~algo ~procs ~host ~port =
         let t = Unix.gettimeofday () in
         Array.iter
           (fun (task, _, _) ->
-            Metrics.Histogram.observe latency (t -. added.(task));
+            samples.(id) <- ((t -. added.(task)) *. 1e3) :: samples.(id);
             incr seen)
           p.Client.placements
       in
@@ -112,7 +108,7 @@ let run ~clients ~repeats ~batches ~graph ~algo ~procs ~host ~port =
         ~finally:(fun () -> Client.close client)
         (fun () ->
           for _ = 1 to repeats do
-            ignore (one_stream client)
+            ignore (one_stream id client)
           done)
   in
   let t0 = Unix.gettimeofday () in
@@ -125,17 +121,16 @@ let run ~clients ~repeats ~batches ~graph ~algo ~procs ~host ~port =
     placed = Atomic.get placed;
     expected = clients * repeats * tasks;
     dropped = Atomic.get dropped;
-    latency;
+    latency_ms = Array.of_list (List.concat (Array.to_list samples));
   }
-
-let quantile_ms o q = Metrics.Histogram.quantile o.latency ~q *. 1e3
-
-let rounds_per_s o = float_of_int o.rounds /. (if o.wall > 0.0 then o.wall else 1.0)
 
 let print_summary ~label o =
   Printf.printf "%s: %d streams ok, %d/%d placements, %d rounds, %d dropped\n"
     label o.streams_ok o.placed o.expected o.rounds o.dropped;
-  Printf.printf "  wall %.2f s, %.1f rounds/s\n" o.wall (rounds_per_s o);
-  if Metrics.Histogram.count o.latency > 0 then
+  Printf.printf "  wall %.2f s, %.1f rounds/s\n" o.wall
+    (float_of_int o.rounds /. Float.max o.wall 1e-9);
+  if Array.length o.latency_ms > 0 then begin
+    let q p = Flb_prelude.Stats.quantile o.latency_ms ~q:p in
     Printf.printf "  placement latency p50/p95/p99: %.3f / %.3f / %.3f ms\n"
-      (quantile_ms o 0.5) (quantile_ms o 0.95) (quantile_ms o 0.99)
+      (q 0.5) (q 0.95) (q 0.99)
+  end

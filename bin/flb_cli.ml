@@ -30,8 +30,9 @@ let graph_arg =
   let doc = "Task graph file (lib/taskgraph/serial.mli format), a .flb program file (lib/lang/parse.mli), or 'fig1' for the paper's example graph." in
   Arg.(required & opt (some string) None & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
 
-(* A graph that cannot be read is a usage error: FILE:LINE: message,
-   exit 2, as for a bad schedule file. *)
+(* A graph that does not parse is a usage error: FILE:LINE: message,
+   exit 2, as for a bad schedule file. A file that cannot be opened is
+   reported where [Cmd.eval] is called, at the bottom of this file. *)
 let load_graph path =
   let fail line message =
     Printf.eprintf "%s:%d: %s\n" path line message;
@@ -51,9 +52,6 @@ let load_graph path =
       let line = ref 1 in
       String.iteri (fun i c -> if c = '\n' && i < position then incr line) text;
       fail !line message
-    | exception Sys_error message ->
-      prerr_endline message;
-      exit 2
 
 let procs_arg =
   let doc = "Number of processors in the clique machine." in
@@ -1478,10 +1476,24 @@ let experiment_cmd =
 let () =
   let doc = "FLB task scheduling for distributed-memory machines" in
   let info = Cmd.info "flb" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ gen_cmd; compile_cmd; info_cmd; profile_cmd; schedule_cmd;
+        validate_schedule_cmd; compare_cmd; dsh_cmd; trace_cmd; execute_cmd;
+        analyze_cmd; experiment_cmd; serve_cmd; request_cmd; stream_cmd;
+        metrics_cmd; stats_cmd; route_cmd; drain_cmd ]
+  in
+  (* A file flb cannot open, read or write is a usage error, like an
+     unreadable graph: "flb: MESSAGE", exit 2. Any other exception is
+     raised again under Cmdliner's own handler, which reports it as an
+     internal error (exit 125). *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ gen_cmd; compile_cmd; info_cmd; profile_cmd; schedule_cmd;
-            validate_schedule_cmd; compare_cmd; dsh_cmd; trace_cmd; execute_cmd;
-            analyze_cmd; experiment_cmd; serve_cmd; request_cmd; stream_cmd;
-            metrics_cmd; stats_cmd; route_cmd; drain_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Sys_error message ->
+      prerr_endline ("flb: " ^ message);
+      2
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Cmd.eval ~argv:[| "flb" |]
+        (Cmd.v info Term.(const (fun () -> Printexc.raise_with_backtrace e bt) $ const ())))

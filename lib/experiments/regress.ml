@@ -96,9 +96,7 @@ let render r =
     r.entries;
   Table.render table
 
-(* --- JSON: a strict reader/writer for the subset our reports emit.
-   Exposed as [Regress.Json] so sibling experiments and the bench
-   harness reuse it instead of growing parsers. --- *)
+(* --- JSON: a strict reader/writer for the subset [to_json] emits. --- *)
 
 module Json = struct
   type t =
@@ -268,9 +266,6 @@ module Json = struct
     if !pos <> len then fail "trailing content";
     v
 
-  let parse text =
-    match parse_exn text with exception Parse_error msg -> Error msg | v -> Ok v
-
   let field name = function
     | Obj fields -> (
       match List.assoc_opt name fields with
@@ -285,13 +280,11 @@ end
 
 (* --- JSON writing --- *)
 
-let json_escape = Json.escape
-
 let to_json r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"flb-regress/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": \"%s\",\n" (json_escape r.mode));
+  Buffer.add_string buf (Printf.sprintf "  \"mode\": \"%s\",\n" (Json.escape r.mode));
   Buffer.add_string buf "  \"entries\": [\n";
   List.iteri
     (fun i e ->
@@ -300,7 +293,7 @@ let to_json r =
            "    {\"scheduler\": \"%s\", \"workload\": \"%s\", \"tasks\": %d, \
             \"procs\": %d, \"ccr\": %g, \"ns_per_task\": %.1f, \
             \"bytes_per_task\": %.1f}%s\n"
-           (json_escape e.scheduler) (json_escape e.workload) e.tasks e.procs
+           (Json.escape e.scheduler) (Json.escape e.workload) e.tasks e.procs
            e.ccr e.ns_per_task e.bytes_per_task
            (if i = List.length r.entries - 1 then "" else ","))
       )

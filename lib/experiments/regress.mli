@@ -12,42 +12,10 @@
       clean figure — and it {e is} asserted against the committed
       baseline.
 
-    The report serializes to the committed [BENCH_schedulers.json]; a
-    minimal JSON reader loads past baselines back so CI can diff
-    allocation behaviour without any external tooling. *)
-
-(** Strict JSON reader/writer helpers for the subset the reports in this
-    repository emit (objects, arrays, strings, numbers, booleans, null;
-    ASCII escapes). Shared by {!Regress} itself, sibling experiments
-    and the bench harness so none of them grows a private parser. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  val escape : string -> string
-  (** Body of a JSON string literal (no surrounding quotes). *)
-
-  val parse_exn : string -> t
-  (** @raise Parse_error on malformed input or trailing content. *)
-
-  val parse : string -> (t, string) result
-
-  val field : string -> t -> t
-  (** @raise Parse_error if missing or not applied to an object. *)
-
-  val str : t -> string
-  (** @raise Parse_error unless a string. *)
-
-  val num : t -> float
-  (** @raise Parse_error unless a number. *)
-end
+    The report serializes to the committed [BENCH_schedulers.json], the
+    only file [bench/main.exe --regress] writes; a minimal private JSON
+    reader loads it back so CI's allocation gate
+    ([--regress-check]) needs no external tooling. *)
 
 type entry = {
   scheduler : string;

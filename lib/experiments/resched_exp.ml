@@ -84,6 +84,7 @@ let run ?(algorithm = Registry.flb) ?suite ?(ccr = 0.2)
     suite
 
 let render rows =
+  let cores = Domain.recommended_domain_count () in
   let table =
     Table.create
       ~header:
@@ -108,7 +109,7 @@ let render rows =
         [
           r.workload;
           string_of_int r.tasks;
-          string_of_int r.domains;
+          Table.domains_cell ~cores r.domains;
           r.fault;
           Printf.sprintf "%.1f" r.predicted_units;
           Printf.sprintf "%d/%d" r.none_completed r.tasks;
@@ -120,7 +121,7 @@ let render rows =
           Printf.sprintf "%.1f" r.resched_latency_us;
         ])
     rows;
-  Table.render table
+  Table.cores_note ~cores ^ Table.render table
 
 let to_csv rows =
   let buf = Buffer.create 1024 in
@@ -134,33 +135,4 @@ let to_csv rows =
            r.resched_units r.resched_over_steal r.rescheds r.real_resched_units
            r.resched_latency_us))
     rows;
-  Buffer.contents buf
-
-(* Inner JSON array (no surrounding object), so Runtime_real_exp can
-   embed it as the "resched" field of BENCH_runtime.json. *)
-let rows_json rows =
-  (* Wall-clock-derived fields can be nan (e.g. the kill landed after
-     the real run already finished); JSON has no nan, so emit null. *)
-  let num x = if Float.is_finite x then Printf.sprintf "%g" x else "null" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"tasks\": %d, \"domains\": %d, \
-            \"fault\": \"%s\", \"predicted_units\": %g, \"none_completed\": %d, \
-            \"steal_units\": %g, \"resched_units\": %g, \"resched_over_steal\": \
-            %g, \"rescheds\": %d, \"real_resched_units\": %s, \
-            \"resched_latency_us\": %s}%s\n"
-           (Regress.Json.escape r.workload)
-           r.tasks r.domains
-           (Regress.Json.escape r.fault)
-           r.predicted_units r.none_completed r.steal_units r.resched_units
-           r.resched_over_steal r.rescheds
-           (num r.real_resched_units)
-           (num r.resched_latency_us)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]";
   Buffer.contents buf

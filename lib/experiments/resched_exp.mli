@@ -41,10 +41,7 @@ val run :
   row list
 
 val render : row list -> string
+(** The table, headed by the host's core count; a row whose domains
+    outnumber the cores is marked oversubscribed ({!Table.domains_cell}). *)
 
 val to_csv : row list -> string
-
-val rows_json : row list -> string
-(** The rows as a JSON array (no surrounding object), ready to embed as
-    the ["resched"] field of [BENCH_runtime.json]
-    ({!Runtime_real_exp.to_json}). *)

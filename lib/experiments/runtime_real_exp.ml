@@ -52,6 +52,7 @@ let run ?(algorithm = Registry.flb) ?suite ?(ccr = 0.2)
     suite
 
 let render rows =
+  let cores = Domain.recommended_domain_count () in
   let table =
     Table.create
       ~header:
@@ -76,7 +77,7 @@ let render rows =
         [
           r.workload;
           string_of_int r.tasks;
-          string_of_int r.domains;
+          Table.domains_cell ~cores r.domains;
           Printf.sprintf "%.1f" r.predicted_units;
           Printf.sprintf "%.1f" r.static_units;
           Printf.sprintf "%.1f" r.steal_units;
@@ -88,7 +89,7 @@ let render rows =
           string_of_int r.steals;
         ])
     rows;
-  Table.render table
+  Table.cores_note ~cores ^ Table.render table
 
 let to_csv rows =
   let buf = Buffer.create 1024 in
@@ -102,40 +103,4 @@ let to_csv rows =
            r.affinity_units r.static_ratio r.steal_vs_static r.affinity_vs_steal
            r.hint_hit_rate r.steals))
     rows;
-  Buffer.contents buf
-
-(* Non-finite ratios (a zero-division, an empty hint count) become JSON
-   null, as in [Resched_exp.rows_json]. *)
-let json_num f = if Float.is_finite f then Printf.sprintf "%g" f else "null"
-
-let to_json ?resched rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  (* Schema 3 = schema 2 plus the affinity-engine columns
-     (affinity_units, affinity_vs_steal, hint_hit_rate); the "resched"
-     array stays optional. *)
-  Buffer.add_string buf "  \"schema\": \"flb-runtime/3\",\n";
-  (match resched with
-  | None -> ()
-  | Some rj -> Buffer.add_string buf (Printf.sprintf "  \"resched\": %s,\n" rj));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"tasks\": %d, \"domains\": %d, \
-            \"predicted_units\": %g, \"static_units\": %g, \"steal_units\": %g, \
-            \"affinity_units\": %s, \"static_ratio\": %g, \"steal_vs_static\": \
-            %g, \"affinity_vs_steal\": %s, \"hint_hit_rate\": %s, \"steals\": \
-            %d}%s\n"
-           (Regress.Json.escape r.workload)
-           r.tasks r.domains r.predicted_units r.static_units r.steal_units
-           (json_num r.affinity_units)
-           r.static_ratio r.steal_vs_static
-           (json_num r.affinity_vs_steal)
-           (json_num r.hint_hit_rate) r.steals
-           (if i = List.length rows - 1 then "" else ","))
-      )
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf

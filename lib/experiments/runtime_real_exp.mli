@@ -14,9 +14,10 @@
     how honest the analytic model is, ideally close to 1) and
     [steal_vs_static] (dynamic balancing over compile-time balancing on
     the same hardware — the paper's argument quantified on a real
-    machine). Wall-clock numbers are machine-dependent, so like the
-    [ns_per_task] trajectory in {!Regress} they are recorded
-    ([BENCH_runtime.json]) but never asserted in CI. *)
+    machine). Wall-clock numbers are machine-dependent, so the table is
+    printed (or written as CSV) and never asserted; perfbench's
+    [execute] workload is the measured, host-recorded form of this
+    comparison. *)
 
 type row = {
   workload : string;
@@ -52,11 +53,7 @@ val run :
     times are wall-clock and therefore noisy. *)
 
 val render : row list -> string
+(** The table, headed by the host's core count; a row whose domains
+    outnumber the cores is marked oversubscribed ({!Table.domains_cell}). *)
 
 val to_csv : row list -> string
-
-val to_json : ?resched:string -> row list -> string
-(** Schema ["flb-runtime/3"]: schema 2's columns plus [affinity_units],
-    [affinity_vs_steal] and [hint_hit_rate] (non-finite values emitted
-    as null). [resched] (a JSON array from {!Resched_exp.rows_json}) is
-    embedded as the optional ["resched"] field. *)

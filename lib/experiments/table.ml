@@ -43,3 +43,11 @@ let render t =
   Buffer.contents buf
 
 let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
+
+let domains_cell ~cores d = if d > cores then Printf.sprintf "%d*" d else string_of_int d
+
+let cores_note ~cores =
+  Printf.sprintf
+    "host: %d cores (Domain.recommended_domain_count); * = more domains than \
+     cores, oversubscribed\n"
+    cores

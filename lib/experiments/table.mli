@@ -14,3 +14,11 @@ val render : t -> string
 
 val cell_float : ?decimals:int -> float -> string
 (** Fixed-point rendering, default 2 decimals. *)
+
+val domains_cell : cores:int -> int -> string
+(** A domain count, suffixed ["*"] when it exceeds [cores]: such a row
+    ran oversubscribed, so its wall-clock numbers are not speedups. *)
+
+val cores_note : cores:int -> string
+(** The line that heads a table using {!domains_cell}: the host's
+    [cores] and what ["*"] marks. *)

@@ -201,6 +201,131 @@ let test_table () =
   Alcotest.(check string) "float cell decimals" "1.2345"
     (E.Table.cell_float ~decimals:4 1.2345)
 
+let find hay needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length hay then None
+    else if String.sub hay i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = find hay needle <> None
+
+(* The allocation gate CI runs against the committed BENCH_schedulers.json:
+   [of_json] must read back what [to_json] writes, and [check] must fail
+   exactly on a bytes/task drift past both the relative tolerance and the
+   64-byte slack, or on an entry the baseline lacks. *)
+let test_regress_gate () =
+  let entry ?(ns = 950.5) ?(bytes = 300.0) scheduler workload =
+    {
+      E.Regress.scheduler;
+      workload;
+      tasks = 400;
+      procs = 8;
+      ccr = 1.0;
+      ns_per_task = ns;
+      bytes_per_task = bytes;
+    }
+  in
+  let quoted = "a\"b\\c" and slashed = "w\\\"x" in
+  let baseline =
+    {
+      E.Regress.mode = "full+quick";
+      entries = [ entry "FLB" "Stencil"; entry ~bytes:40.0 quoted slashed ];
+    }
+  in
+  let json = E.Regress.to_json baseline in
+  (match E.Regress.of_json json with
+  | Ok r -> check_bool "of_json (to_json r) = r" true (r = baseline)
+  | Error msg -> Alcotest.fail msg);
+  let check entries =
+    E.Regress.check ~baseline ~current:{ baseline with entries } ~tolerance:0.5
+  in
+  let fails_naming what needle entries =
+    match check entries with
+    | Error [ msg ] -> check_bool (what ^ ": " ^ msg) true (contains msg needle)
+    | _ -> Alcotest.fail (what ^ ": expected exactly one failure")
+  in
+  check_bool "a report against itself" true (check baseline.entries = Ok ());
+  fails_naming "+160 B, +53%" "FLB/Stencil/P=8/V=400"
+    [ entry ~bytes:460.0 "FLB" "Stencil" ];
+  fails_naming "-160 B, -53%" "FLB/Stencil/P=8/V=400"
+    [ entry ~bytes:140.0 "FLB" "Stencil" ];
+  check_bool "+60 B, +150%" true (check [ entry ~bytes:100.0 quoted slashed ] = Ok ());
+  check_bool "+140 B, +47%" true (check [ entry ~bytes:440.0 "FLB" "Stencil" ] = Ok ());
+  check_bool "ns/task only" true (check [ entry ~ns:1e6 "FLB" "Stencil" ] = Ok ());
+  fails_naming "no baseline" "no baseline entry" [ entry "ETF" "LU" ];
+  let schema2 = Bytes.of_string json in
+  (match find json "flb-regress/1" with
+  | Some i -> Bytes.set schema2 (i + 12) '2'
+  | None -> Alcotest.fail "no schema field");
+  check_bool "schema flb-regress/2 rejected" true
+    (Result.is_error (E.Regress.of_json (Bytes.to_string schema2)));
+  check_bool "trailing content rejected" true
+    (Result.is_error (E.Regress.of_json (json ^ "{}")))
+
+(* Real-execution tables name the host's cores and mark the rows that ran
+   more domains than that. *)
+let test_oversubscribed_rows () =
+  let cores = Domain.recommended_domain_count () in
+  (* The domains cell of a one-row table: note, header, rule, row. *)
+  let domains_cell text =
+    match String.split_on_char '\n' text with
+    | note :: _ :: _ :: row :: _ ->
+      check_bool "cores named" true
+        (contains note (Printf.sprintf "host: %d cores" cores));
+      List.nth (List.filter (( <> ) "") (String.split_on_char ' ' row)) 2
+    | _ -> Alcotest.fail "table too short"
+  in
+  let runtime domains =
+    E.Runtime_real_exp.render
+      [
+        {
+          E.Runtime_real_exp.workload = "synthetic";
+          tasks = 10;
+          domains;
+          predicted_units = 10.0;
+          static_units = 11.0;
+          steal_units = 12.0;
+          affinity_units = 11.5;
+          static_ratio = 1.1;
+          steal_vs_static = 1.09;
+          affinity_vs_steal = 0.96;
+          hint_hit_rate = 0.9;
+          steals = 3;
+        };
+      ]
+  in
+  let resched domains =
+    E.Resched_exp.render
+      [
+        {
+          E.Resched_exp.workload = "synthetic";
+          tasks = 10;
+          domains;
+          fault = "kill:0:2.5";
+          predicted_units = 10.0;
+          none_completed = 6;
+          steal_units = 12.0;
+          resched_units = 11.0;
+          resched_over_steal = 0.92;
+          rescheds = 1;
+          real_resched_units = 11.2;
+          resched_latency_us = 40.0;
+        };
+      ]
+  in
+  List.iter
+    (fun (label, render) ->
+      Alcotest.(check string)
+        (label ^ ": nproc + 1 domains marked")
+        (Printf.sprintf "%d*" (cores + 1))
+        (domains_cell (render (cores + 1)));
+      Alcotest.(check string) (label ^ ": 1 domain unmarked") "1"
+        (domains_cell (render 1)))
+    [ ("runtime", runtime); ("resched", resched) ]
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -219,4 +344,6 @@ let suite =
     Alcotest.test_case "granularity experiment smoke" `Quick test_granularity_exp_smoke;
     Alcotest.test_case "contention experiment smoke" `Quick test_contention_exp_smoke;
     Alcotest.test_case "table" `Quick test_table;
+    Alcotest.test_case "regress gate" `Quick test_regress_gate;
+    Alcotest.test_case "oversubscribed rows" `Quick test_oversubscribed_rows;
   ]
