@@ -1155,12 +1155,6 @@ let route_cmd =
                    replica once it has been outstanding this long and take \
                    the first answer; 0 disables.")
   in
-  let hedge_adaptive_arg =
-    Arg.(value & flag
-         & info [ "hedge-adaptive" ]
-             ~doc:"Derive the hedge delay from the live p99 request latency \
-                   instead of a fixed --hedge-after-ms.")
-  in
   let warm_keys_arg =
     Arg.(value & opt int 4
          & info [ "warm-keys" ] ~docv:"N"
@@ -1177,7 +1171,7 @@ let route_cmd =
   in
   let run host port backends_s peers_s replication split_factor vnodes policy
       connect_timeout_s call_timeout_s health_period_s gossip_period_s
-      fail_threshold hedge_after_ms hedge_adaptive warm_keys =
+      fail_threshold hedge_after_ms warm_keys =
     let backends = parse_addr_list "--backends" backends_s in
     if backends = [] then begin
       prerr_endline "--backends must name at least one daemon";
@@ -1185,9 +1179,7 @@ let route_cmd =
     end;
     let peers = parse_addr_list "--peers" peers_s in
     let hedge =
-      if hedge_adaptive then Flb_router.Router.Hedge_adaptive
-      else if hedge_after_ms > 0.0 then
-        Flb_router.Router.Hedge_fixed_ms hedge_after_ms
+      if hedge_after_ms > 0.0 then Flb_router.Router.Hedge_fixed_ms hedge_after_ms
       else Flb_router.Router.Hedge_off
     in
     let config =
@@ -1223,8 +1215,7 @@ let route_cmd =
       (List.length peers)
       (match hedge with
       | Flb_router.Router.Hedge_off -> "off"
-      | Flb_router.Router.Hedge_fixed_ms ms -> Printf.sprintf "after %g ms" ms
-      | Flb_router.Router.Hedge_adaptive -> "adaptive (p99)");
+      | Flb_router.Router.Hedge_fixed_ms ms -> Printf.sprintf "after %g ms" ms);
     Flb_router.Router.wait router;
     print_endline "flb router stopped"
   in
@@ -1237,8 +1228,7 @@ let route_cmd =
     Term.(const run $ host_arg $ route_port_arg $ backends_arg $ peers_arg
           $ replication_arg $ split_arg $ vnodes_arg $ policy_arg
           $ connect_timeout_arg $ call_timeout_arg $ health_arg $ gossip_arg
-          $ fail_threshold_arg $ hedge_after_arg $ hedge_adaptive_arg
-          $ warm_keys_arg)
+          $ fail_threshold_arg $ hedge_after_arg $ warm_keys_arg)
 
 (* --- drain (graceful backend removal) --- *)
 

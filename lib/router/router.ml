@@ -1,13 +1,14 @@
 module Wire = Flb_service.Wire
 module Cache = Flb_service.Cache
 module Client = Flb_service.Client
+module Listener = Flb_service.Listener
 module Serial = Flb_taskgraph.Serial
 module Metrics = Flb_obs.Metrics
 module Trace = Flb_obs.Trace
 
 type policy = Hash | Round_robin
 
-type hedge = Hedge_off | Hedge_fixed_ms of float | Hedge_adaptive
+type hedge = Hedge_off | Hedge_fixed_ms of float
 
 type config = {
   host : string;
@@ -50,12 +51,9 @@ let default_config =
     max_frame = Wire.default_max_frame;
   }
 
-type state = Running | Stopping | Stopped
-
 type t = {
   config : config;
-  lsock : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   started_at : float;
   self_id : string; (* the address gossiped to peers as "who said so" *)
   registry : Metrics.t;
@@ -63,13 +61,8 @@ type t = {
   balancer : Balancer.t;
   gossip : Gossip.t;
   rr : int Atomic.t; (* Round_robin rotation cursor *)
-  lock : Mutex.t;
-  cond : Condition.t;
-  mutable state : state;
-  mutable accept_thread : Thread.t option;
   mutable health_thread : Thread.t option;
   mutable gossip_thread : Thread.t option;
-  active_conns : int Atomic.t;
   (* Bounded shard-key -> Schedule payload store, so a joining or newly
      split replica can be warmed by replaying real requests. The router
      only ever sees shard keys otherwise — a key alone cannot
@@ -102,17 +95,13 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let metrics t = t.registry
 let backends t = Array.to_list t.backends
 let balancer t = t.balancer
 let gossip t = t.gossip
 
-let stopping t =
-  Mutex.lock t.lock;
-  let s = t.state in
-  Mutex.unlock t.lock;
-  s <> Running
+let stopping t = Listener.stopping t.listener
 
 (* --- shard routing --- *)
 
@@ -173,11 +162,6 @@ let hedge_delay_s t =
   match t.config.hedge with
   | Hedge_off -> None
   | Hedge_fixed_ms ms -> Some (ms /. 1000.0)
-  | Hedge_adaptive ->
-    (* Tail-derived: hedge once a request outlives the observed p99.
-       The floor keeps an all-cache-hit fleet (p99 ≈ 0) from hedging
-       every single request. *)
-    Some (Float.max 0.002 (Metrics.Histogram.quantile t.latency ~q:0.99))
 
 (* First-good-answer-wins race cell for hedged requests. *)
 type hedge_cell = {
@@ -507,13 +491,10 @@ let load_answer t =
         (if scheduled = 0 then 0.0
          else float_of_int hits /. float_of_int scheduled);
       scheduled_total = scheduled;
-      connections = Atomic.get t.active_conns;
+      connections = List.length (Listener.connections t.listener);
     }
 
-let request_stop t =
-  Mutex.lock t.lock;
-  if t.state = Running then t.state <- Stopping;
-  Mutex.unlock t.lock
+let request_stop t = Listener.request_stop t.listener
 
 (* --- peer exchange --- *)
 
@@ -541,13 +522,12 @@ let gossip_exchange t (host, port) =
 let gossip_now t = List.iter (gossip_exchange t) t.config.peers
 
 (* Returns [false] when the connection should stop being served. *)
-let handle_request t respond ~trace_id = function
+let handle_request t ~respond ~trace_id = function
   | Wire.Schedule { graph; algo; procs } ->
     respond ~trace_id (handle_schedule t ~trace_id ~graph ~algo ~procs);
     true
   | Wire.Get_metrics ->
-    refresh_gauges t;
-    respond ~trace_id (Wire.Metrics_text (Metrics.to_prometheus t.registry));
+    respond ~trace_id (Wire.Metrics_text (stats_text t Wire.Stats_prometheus));
     true
   | Wire.Get_stats fmt ->
     respond ~trace_id (Wire.Stats_text (stats_text t fmt));
@@ -612,52 +592,7 @@ let handle_request t respond ~trace_id = function
          });
     true
 
-let handle_conn t fd =
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  Atomic.incr t.active_conns;
-  let respond ~trace_id resp =
-    Wire.write_frame oc (Wire.encode_response ~trace_id resp)
-  in
-  let bad_request message =
-    Metrics.Counter.incr t.errors;
-    try respond ~trace_id:0L (Wire.Error { code = Wire.Bad_request; message })
-    with _ -> ()
-  in
-  let rec loop () =
-    match Wire.read_frame ~max_frame:t.config.max_frame ic with
-    | Error Wire.Closed -> ()
-    | Error Wire.Truncated -> bad_request "truncated frame"
-    | Error (Wire.Oversized n) ->
-      bad_request
-        (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
-           t.config.max_frame)
-    | Ok payload -> (
-      Metrics.Counter.incr t.requests;
-      match Wire.decode_request payload with
-      | Error msg ->
-        Metrics.Counter.incr t.errors;
-        (match
-           respond ~trace_id:0L (Wire.Error { code = Wire.Bad_request; message = msg })
-         with
-        | () -> loop ()
-        | exception _ -> ())
-      | Ok (trace_id, req) -> (
-        match handle_request t respond ~trace_id req with
-        | true -> loop ()
-        | false -> ()
-        | exception _ -> ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr t.active_conns;
-      (* One flush, one close: [ic] shares [fd] and is dropped unclosed
-         (see [Client.close]). *)
-      close_out_noerr oc)
-    loop
-
-(* --- health, accept, lifecycle --- *)
+(* --- health and lifecycle --- *)
 
 let probe_backends t =
   let up = ref 0 in
@@ -708,30 +643,6 @@ let gossip_loop t () =
     if not (stopping t) then (try gossip_now t with _ -> ())
   done
 
-let accept_loop t () =
-  let rec loop () =
-    if stopping t then ()
-    else begin
-      (match Unix.select [ t.lsock ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept t.lsock with
-        | fd, _ ->
-          Metrics.Counter.incr t.connections;
-          ignore (Thread.create (handle_conn t) fd)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop () with _ -> ());
-  (try Unix.close t.lsock with _ -> ());
-  Array.iter Backend.close t.backends;
-  Mutex.lock t.lock;
-  t.state <- Stopped;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.lock
-
 let start ?metrics (config : config) =
   if config.backends = [] then
     invalid_arg "Router.start: at least one backend is required";
@@ -752,27 +663,13 @@ let start ?metrics (config : config) =
       ~split_factor:config.split_factor
       ~backends:(Array.to_list backends)
   in
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let bound_port =
-    try
-      Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-      Unix.bind lsock
-        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lsock 64;
-      match Unix.getsockname lsock with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> config.port
-    with e ->
-      (try Unix.close lsock with _ -> ());
-      raise e
-  in
+  let listener = Listener.bind ~host:config.host ~port:config.port in
   let t =
     {
       config;
-      lsock;
-      bound_port;
+      listener;
       started_at = now ();
-      self_id = Printf.sprintf "%s:%d" config.host bound_port;
+      self_id = Printf.sprintf "%s:%d" config.host (Listener.port listener);
       registry;
       backends;
       balancer;
@@ -780,13 +677,8 @@ let start ?metrics (config : config) =
         Gossip.create
           ~backends:(Array.to_list (Array.map Backend.id backends));
       rr = Atomic.make 0;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      state = Running;
-      accept_thread = None;
       health_thread = None;
       gossip_thread = None;
-      active_conns = Atomic.make 0;
       warm_store = Hashtbl.create 64;
       warm_lock = Mutex.create ();
       last_splits = [];
@@ -871,7 +763,10 @@ let start ?metrics (config : config) =
           backends;
     }
   in
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
+  Listener.serve listener ~max_frame:config.max_frame ~requests:t.requests
+    ~errors:t.errors ~connections:t.connections
+    ~on_stop:(fun () -> Array.iter Backend.close t.backends)
+    (handle_request t);
   if config.health_period_s > 0.0 then
     t.health_thread <- Some (Thread.create (health_loop t) ());
   if config.peers <> [] && config.gossip_period_s > 0.0 then
@@ -879,16 +774,10 @@ let start ?metrics (config : config) =
   t
 
 let wait t =
-  Mutex.lock t.lock;
-  while t.state <> Stopped do
-    Condition.wait t.cond t.lock
-  done;
-  Mutex.unlock t.lock;
+  Listener.wait t.listener;
   List.iter
-    (function
-      | Some th -> ( try Thread.join th with _ -> ())
-      | None -> ())
-    [ t.accept_thread; t.health_thread; t.gossip_thread ]
+    (Option.iter (fun th -> try Thread.join th with _ -> ()))
+    [ t.health_thread; t.gossip_thread ]
 
 let stop t =
   request_stop t;

@@ -1,7 +1,9 @@
 (** Front-end TCP router: shards Schedule requests across a fleet of
     [flb serve] replicas.
 
-    The router speaks the {!Flb_service.Wire} framing on both sides. A
+    The router speaks the {!Flb_service.Wire} framing on both sides,
+    and serves its clients through a {!Flb_service.Listener}: the
+    daemon's accept loop, framing policy and lifecycle. A
     Schedule request's shard key — {!Flb_service.Cache.text_digest} of
     its graph text × algorithm × P, the backend's own cache key — picks
     a replica set on a consistent-hash {!Ring}; the router never parses
@@ -26,11 +28,11 @@
     replicas every [gossip_period_s], so a fleet behind DNS round-robin
     agrees on the Down set and split decisions within a few periods.
     Hot shards can {e hedge}: once a request outlives the configured
-    (or p99-derived) delay, a second replica races it and the first
-    answer wins. [Drain] flips a backend to [Draining] — no new shards,
-    in-flight work finishes, the news gossips to every peer — and cache
-    warming replays the hottest shards to joining or newly split
-    replicas so they never serve cold. *)
+    delay, a second replica races it and the first answer wins. [Drain]
+    flips a backend to [Draining] — no new shards, in-flight work
+    finishes, the news gossips to every peer — and cache warming
+    replays the hottest shards to joining or newly split replicas so
+    they never serve cold. *)
 
 type policy =
   | Hash  (** Consistent hashing by graph digest (the point of this
@@ -42,10 +44,6 @@ type policy =
 type hedge =
   | Hedge_off
   | Hedge_fixed_ms of float  (** Hedge after a fixed delay. *)
-  | Hedge_adaptive
-      (** Hedge after the live p99 of [router_request_seconds]
-          (floored at 2 ms so an all-cache-hit fleet does not hedge
-          every request). *)
 
 type config = {
   host : string;

@@ -94,66 +94,49 @@ let call ?trace_id t request =
 let schedule ?trace_id t ~graph ~algo ~procs =
   call ?trace_id t (Wire.Schedule { graph; algo; procs })
 
+(* A protocol-level [Error] keeps the server's message. *)
+let unexpected what = function
+  | Wire.Error { code; message } ->
+    Error (Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message)
+  | Wire.Overloaded -> Error "server overloaded"
+  | _ -> Error ("unexpected response to " ^ what)
+
+(* One round trip whose answer [pick] must accept. *)
+let expect what pick t request =
+  match call t request with
+  | Ok resp -> (
+    match pick resp with Some v -> Ok v | None -> unexpected what resp)
+  | Error msg -> Error msg
+
 let get_metrics t =
-  match call t Wire.Get_metrics with
-  | Ok (Wire.Metrics_text text) -> Ok text
-  | Ok resp ->
-    Error
-      (match resp with
-      | Wire.Error { code; message } ->
-        Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message
-      | _ -> "unexpected response to Get_metrics")
-  | Error _ as e -> e
+  expect "Get_metrics"
+    (function Wire.Metrics_text text -> Some text | _ -> None)
+    t Wire.Get_metrics
 
 let get_stats t ~format =
-  match call t (Wire.Get_stats format) with
-  | Ok (Wire.Stats_text text) -> Ok text
-  | Ok resp ->
-    Error
-      (match resp with
-      | Wire.Error { code; message } ->
-        Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message
-      | _ -> "unexpected response to Get_stats")
-  | Error _ as e -> e
+  expect "Get_stats"
+    (function Wire.Stats_text text -> Some text | _ -> None)
+    t (Wire.Get_stats format)
 
 let get_load t =
-  match call t Wire.Get_load with
-  | Ok (Wire.Load l) -> Ok l
-  | Ok resp ->
-    Error
-      (match resp with
-      | Wire.Error { code; message } ->
-        Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message
-      | _ -> "unexpected response to Get_load")
-  | Error _ as e -> e
+  expect "Get_load" (function Wire.Load l -> Some l | _ -> None) t Wire.Get_load
 
-let ping t =
-  match call t Wire.Ping with
-  | Ok Wire.Pong -> Ok ()
-  | Ok _ -> Error "unexpected response to Ping"
-  | Error _ as e -> e
+let ping t = expect "Ping" (function Wire.Pong -> Some () | _ -> None) t Wire.Ping
 
 let shutdown t =
-  match call t Wire.Shutdown with
-  | Ok Wire.Shutting_down -> Ok ()
-  | Ok _ -> Error "unexpected response to Shutdown"
-  | Error _ as e -> e
+  expect "Shutdown"
+    (function Wire.Shutting_down -> Some () | _ -> None)
+    t Wire.Shutdown
 
 let drain ?(backend = "") t =
-  match call t (Wire.Drain { backend }) with
-  | Ok (Wire.Drain_ack _) -> Ok ()
-  | Ok (Wire.Error { code; message }) ->
-    Error (Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message)
-  | Ok _ -> Error "unexpected response to Drain"
-  | Error _ as e -> e
+  expect "Drain"
+    (function Wire.Drain_ack _ -> Some () | _ -> None)
+    t (Wire.Drain { backend })
 
 let gossip t ~from ~digest =
-  match call t (Wire.Gossip { from; digest }) with
-  | Ok (Wire.Gossip_ack { digest }) -> Ok digest
-  | Ok (Wire.Error { code; message }) ->
-    Error (Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message)
-  | Ok _ -> Error "unexpected response to Gossip"
-  | Error _ as e -> e
+  expect "Gossip"
+    (function Wire.Gossip_ack { digest } -> Some digest | _ -> None)
+    t (Wire.Gossip { from; digest })
 
 (* --- streaming --- *)
 
@@ -164,24 +147,16 @@ type placed = {
   placements : (int * int * float) array;
 }
 
-let unexpected what = function
-  | Wire.Error { code; message } ->
-    Error (Printf.sprintf "%s: %s" (Wire.error_code_to_string code) message)
-  | Wire.Overloaded -> Error "server overloaded"
-  | _ -> Error ("unexpected response to " ^ what)
-
 let open_stream t ~algo ~procs =
-  match call t (Wire.Open_stream { algo; procs }) with
-  | Ok (Wire.Stream_opened { stream }) -> Ok stream
-  | Ok resp -> unexpected "Open_stream" resp
-  | Error _ as e -> e
+  expect "Open_stream"
+    (function Wire.Stream_opened { stream } -> Some stream | _ -> None)
+    t (Wire.Open_stream { algo; procs })
 
-let placed_of what t request =
-  match call t request with
-  | Ok (Wire.Placed { stream = _; round; final; makespan; placements }) ->
-    Ok { round; final; makespan; placements }
-  | Ok resp -> unexpected what resp
-  | Error _ as e -> e
+let placed_of what =
+  expect what (function
+    | Wire.Placed { stream = _; round; final; makespan; placements } ->
+      Some { round; final; makespan; placements }
+    | _ -> None)
 
 let add_tasks t ~stream ~comps =
   placed_of "Add_tasks" t (Wire.Add_tasks { stream; comps })

@@ -60,52 +60,29 @@ end
 
 type cached = { schedule : string; makespan : float; speedup : float; nsl : float }
 
-type state =
-  | Running
-  | Draining (* finish in-flight work and streams, refuse new conns, then stop *)
-  | Stopping
-  | Stopped
-
-(* One row of the live connection table. [conn_requests] and [last_s]
-   are written only by the owning connection thread; a stats snapshot
-   reading them concurrently may see a value one request stale, which is
-   fine for introspection. *)
-type conn_info = {
-  conn_id : int;
-  peer : string;
-  connected_at : float;
-  mutable conn_requests : int;
-  mutable last_s : float; (* wall time of the last request, 0 if none *)
-}
-
 type t = {
   config : config;
-  lsock : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   started_at : float;
   registry : Metrics.t;
   cache : cached Cache.t;
   pool : Pool.t;
   streams : Stream_loop.t;
-  lock : Mutex.t;
-  cond : Condition.t;
-  mutable state : state;
-  (* Schedule requests currently being handled (queued or computing),
-     guarded by [lock]; a drain completes only once this reaches zero. *)
-  mutable inflight : int;
+  (* Set by [Drain]: finish in-flight work and streams, refuse new
+     connections, then stop. *)
+  draining : bool Atomic.t;
+  (* Schedule requests currently being handled (queued or computing); a
+     drain completes only once this reaches zero. *)
+  inflight : int Atomic.t;
   (* Consecutive quiescent accept-loop ticks while draining; only the
      accept thread touches it. Two ticks (~400 ms) of quiet are required
      before a drain stops the daemon, closing the window where a frame
      has been read but not yet counted in-flight. *)
   mutable drain_idle_ticks : int;
-  mutable accept_thread : Thread.t option;
   (* The tracer's buffer has one logical writer; connection threads and
      worker domains all emit request spans, so every tracer touch goes
      through this lock. Contention only exists when tracing is on. *)
   trace_lock : Mutex.t;
-  conns : (int, conn_info) Hashtbl.t;
-  conns_lock : Mutex.t;
-  mutable next_conn : int;
   requests : Metrics.Counter.t;
   scheduled : Metrics.Counter.t;
   overloaded : Metrics.Counter.t;
@@ -127,19 +104,7 @@ type t = {
 
 let metrics t = t.registry
 
-let port t = t.bound_port
-
-let stopping t =
-  Mutex.lock t.lock;
-  let s = t.state in
-  Mutex.unlock t.lock;
-  match s with Running | Draining -> false | Stopping | Stopped -> true
-
-let draining t =
-  Mutex.lock t.lock;
-  let s = t.state in
-  Mutex.unlock t.lock;
-  s = Draining
+let port t = Listener.port t.listener
 
 (* --- request handling --- *)
 
@@ -286,63 +251,30 @@ let handle_schedule srv ~ctx ~graph ~algo ~procs =
             finish resp
           end))
 
-let request_stop_internal srv =
-  Mutex.lock srv.lock;
-  (match srv.state with
-  | Running | Draining -> srv.state <- Stopping
-  | Stopping | Stopped -> ());
-  Mutex.unlock srv.lock
-
-let begin_drain srv =
-  Mutex.lock srv.lock;
-  if srv.state = Running then srv.state <- Draining;
-  Mutex.unlock srv.lock
-
-let incr_inflight srv =
-  Mutex.lock srv.lock;
-  srv.inflight <- srv.inflight + 1;
-  Mutex.unlock srv.lock
-
-let decr_inflight srv =
-  Mutex.lock srv.lock;
-  srv.inflight <- srv.inflight - 1;
-  Mutex.unlock srv.lock
+let request_stop t = Listener.request_stop t.listener
 
 (* A drain is complete when no schedule is in flight, the pool queue is
    empty and every streaming session has closed or been evicted. *)
 let drain_quiescent srv =
-  Mutex.lock srv.lock;
-  let is_draining = srv.state = Draining in
-  let inflight = srv.inflight in
-  Mutex.unlock srv.lock;
-  is_draining && inflight = 0
+  Atomic.get srv.draining
+  && Atomic.get srv.inflight = 0
   && Pool.pending srv.pool = 0
   && Stream_loop.active_streams srv.streams = 0
 
 let maybe_finish_drain srv =
   if drain_quiescent srv then begin
     srv.drain_idle_ticks <- srv.drain_idle_ticks + 1;
-    if srv.drain_idle_ticks >= 2 then request_stop_internal srv
+    if srv.drain_idle_ticks >= 2 then request_stop srv
   end
   else srv.drain_idle_ticks <- 0
 
 (* --- live introspection --- *)
 
-let active_connections srv =
-  Mutex.lock srv.conns_lock;
-  let rows = Hashtbl.fold (fun _ info acc -> info :: acc) srv.conns [] in
-  Mutex.unlock srv.conns_lock;
-  List.sort (fun a b -> compare a.conn_id b.conn_id) rows
-
 let state_name srv =
-  Mutex.lock srv.lock;
-  let s = srv.state in
-  Mutex.unlock srv.lock;
-  match s with
-  | Running -> "running"
-  | Draining -> "draining"
-  | Stopping -> "stopping"
-  | Stopped -> "stopped"
+  if Listener.stopped srv.listener then "stopped"
+  else if Listener.stopping srv.listener then "stopping"
+  else if Atomic.get srv.draining then "draining"
+  else "running"
 
 (* Point-in-time values live in gauges so the Prometheus exposition and
    the JSON snapshot agree; refresh them right before rendering. *)
@@ -352,7 +284,7 @@ let refresh_snapshot_gauges srv =
   Metrics.Gauge.set srv.cache_entries_g (float_of_int (Cache.length srv.cache));
   Metrics.Gauge.set srv.pool_pending_g (float_of_int (Pool.pending srv.pool));
   Metrics.Gauge.set srv.conns_active_g
-    (float_of_int (List.length (active_connections srv)))
+    (float_of_int (List.length (Listener.connections srv.listener)))
 
 let stats_json srv =
   let b = Buffer.create 1024 in
@@ -374,7 +306,7 @@ let stats_json srv =
     (Cache.bypasses srv.cache);
   Buffer.add_string b ",\"connections\":[";
   List.iteri
-    (fun i info ->
+    (fun i (info : Listener.conn_info) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
         "{\"id\":%d,\"peer\":%S,\"age_s\":%g,\"requests\":%d,\"idle_s\":%g}"
@@ -382,7 +314,7 @@ let stats_json srv =
         (t -. info.connected_at)
         info.conn_requests
         (if info.last_s = 0.0 then t -. info.connected_at else t -. info.last_s))
-    (active_connections srv);
+    (Listener.connections srv.listener);
   Buffer.add_string b "],\"metrics\":";
   Buffer.add_string b (Metrics.to_json srv.registry);
   Buffer.add_char b '}';
@@ -394,7 +326,6 @@ let stats_text srv fmt =
   | Wire.Stats_prometheus -> Metrics.to_prometheus srv.registry
   | Wire.Stats_json -> stats_json srv
 
-(* Returns [false] when the connection should stop being served. *)
 (* --- streaming sessions --- *)
 
 let stream_error_response = function
@@ -432,22 +363,23 @@ let handle_stream srv ~stream result =
   | Ok p -> placed_response ~stream p
   | Error e -> stream_error_response e
 
-let handle_request srv respond ~trace_id = function
+(* Returns [false] when the connection should stop being served. *)
+let handle_request srv ~respond ~trace_id = function
   | Wire.Schedule { graph; algo; procs } ->
     (* An unset id (0) gets a server-minted one, so the request still
        forms one correlated track in the trace and the peer can fish
        the id out of the response header. *)
     let ctx = Ctx.create ~id:trace_id srv.config.tracer in
-    incr_inflight srv;
+    Atomic.incr srv.inflight;
     let resp =
       Fun.protect
-        ~finally:(fun () -> decr_inflight srv)
+        ~finally:(fun () -> Atomic.decr srv.inflight)
         (fun () -> handle_schedule srv ~ctx ~graph ~algo ~procs)
     in
     respond ~trace_id:(Ctx.id ctx) resp;
     true
   | Wire.Get_metrics ->
-    respond ~trace_id (Wire.Metrics_text (Metrics.to_prometheus srv.registry));
+    respond ~trace_id (Wire.Metrics_text (stats_text srv Wire.Stats_prometheus));
     true
   | Wire.Get_stats fmt ->
     respond ~trace_id (Wire.Stats_text (stats_text srv fmt));
@@ -463,18 +395,14 @@ let handle_request srv respond ~trace_id = function
            cache_entries = Cache.length srv.cache;
            cache_hit_rate = Cache.hit_rate srv.cache;
            scheduled_total = Metrics.Counter.value srv.scheduled;
-           connections =
-             (Mutex.lock srv.conns_lock;
-              let n = Hashtbl.length srv.conns in
-              Mutex.unlock srv.conns_lock;
-              n);
+           connections = List.length (Listener.connections srv.listener);
          });
     true
   | Wire.Open_stream { algo; procs } ->
     (* A draining daemon takes no new streams — existing ones finish,
        new ones go elsewhere. *)
     let resp =
-      if draining srv then begin
+      if Atomic.get srv.draining then begin
         Metrics.Counter.incr srv.overloaded;
         Wire.Overloaded
       end
@@ -515,14 +443,14 @@ let handle_request srv respond ~trace_id = function
     true
   | Wire.Shutdown ->
     respond ~trace_id Wire.Shutting_down;
-    request_stop_internal srv;
+    request_stop srv;
     false
   | Wire.Drain { backend } ->
     (* Addressed to this daemon: finish in-flight schedules and open
        streams, refuse new connections, then exit. The accept loop
        notices quiescence and stops the daemon; the connection stays up
        so the drainer can poll until the process goes away. *)
-    begin_drain srv;
+    Atomic.set srv.draining true;
     respond ~trace_id (Wire.Drain_ack { backend });
     true
   | Wire.Gossip _ ->
@@ -535,120 +463,6 @@ let handle_request srv respond ~trace_id = function
          });
     true
 
-let peer_name fd =
-  match Unix.getpeername fd with
-  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-  | Unix.ADDR_UNIX path -> path
-  | exception _ -> "unknown"
-
-let register_conn srv fd =
-  Mutex.lock srv.conns_lock;
-  let id = srv.next_conn in
-  srv.next_conn <- id + 1;
-  let info =
-    {
-      conn_id = id;
-      peer = peer_name fd;
-      connected_at = now ();
-      conn_requests = 0;
-      last_s = 0.0;
-    }
-  in
-  Hashtbl.replace srv.conns id info;
-  Mutex.unlock srv.conns_lock;
-  info
-
-let unregister_conn srv info =
-  Mutex.lock srv.conns_lock;
-  Hashtbl.remove srv.conns info.conn_id;
-  Mutex.unlock srv.conns_lock
-
-let handle_conn srv fd =
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let info = register_conn srv fd in
-  let respond ~trace_id resp =
-    Wire.write_frame oc (Wire.encode_response ~trace_id resp)
-  in
-  let bad_request message =
-    Metrics.Counter.incr srv.errors;
-    try respond ~trace_id:0L (Wire.Error { code = Wire.Bad_request; message })
-    with _ -> ()
-  in
-  let rec loop () =
-    match Wire.read_frame ~max_frame:srv.config.max_frame ic with
-    | Error Wire.Closed -> ()
-    | Error Wire.Truncated -> bad_request "truncated frame"
-    | Error (Wire.Oversized n) ->
-      (* The stream cannot be resynchronized after refusing to read a
-         frame body, so answer and drop the connection. *)
-      bad_request
-        (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
-           srv.config.max_frame)
-    | Ok payload -> (
-      Metrics.Counter.incr srv.requests;
-      info.conn_requests <- info.conn_requests + 1;
-      info.last_s <- now ();
-      match Wire.decode_request payload with
-      | Error msg ->
-        (* Frame boundaries are intact: report and keep serving. *)
-        Metrics.Counter.incr srv.errors;
-        (match respond ~trace_id:0L (Wire.Error { code = Wire.Bad_request; message = msg }) with
-        | () -> loop ()
-        | exception _ -> ())
-      | Ok (trace_id, req) -> (
-        match handle_request srv respond ~trace_id req with
-        | true -> loop ()
-        | false -> ()
-        | exception _ -> ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      unregister_conn srv info;
-      (* One flush, one close: [ic] shares [fd] and is dropped unclosed
-         (see [Client.close]). *)
-      close_out_noerr oc)
-    loop
-
-(* --- accept loop and lifecycle --- *)
-
-let accept_loop srv () =
-  let rec loop () =
-    if stopping srv then ()
-    else begin
-      (* The accept loop doubles as the streaming round timer: every
-         select wakeup (at most 200 ms apart) runs due periodic rounds
-         and evicts idle streams, so pending streamed work is placed
-         even when no client request arrives to trigger it. *)
-      (try Stream_loop.maybe_tick srv.streams ~now:(now ()) with _ -> ());
-      maybe_finish_drain srv;
-      (match Unix.select [ srv.lsock ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept srv.lsock with
-        | fd, _ ->
-          if draining srv then
-            (* New connections are turned away mid-drain; a router sees
-               the refusal as a failure and fails over. *)
-            (try Unix.close fd with _ -> ())
-          else begin
-            Metrics.Counter.incr srv.connections;
-            ignore (Thread.create (handle_conn srv) fd)
-          end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop () with _ -> ());
-  Pool.shutdown srv.pool;
-  (try Unix.close srv.lsock with _ -> ());
-  Mutex.lock srv.lock;
-  srv.state <- Stopped;
-  Condition.broadcast srv.cond;
-  Mutex.unlock srv.lock
-
 let start ?metrics config =
   let registry = match metrics with Some r -> r | None -> Metrics.create () in
   let cache = Cache.create ~metrics:registry ~capacity:config.cache_capacity () in
@@ -660,25 +474,11 @@ let start ?metrics config =
         Cache.note_bypass cache)
       config.stream
   in
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let bound_port =
-    try
-      Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-      Unix.bind lsock
-        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lsock 64;
-      match Unix.getsockname lsock with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> config.port
-    with e ->
-      (try Unix.close lsock with _ -> ());
-      raise e
-  in
+  let listener = Listener.bind ~host:config.host ~port:config.port in
   let srv =
     {
       config;
-      lsock;
-      bound_port;
+      listener;
       started_at = now ();
       registry;
       cache;
@@ -686,16 +486,10 @@ let start ?metrics config =
       pool =
         Pool.create ~name:"flb-service" ~domains:config.domains
           ~queue_capacity:config.queue_capacity ();
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      state = Running;
-      inflight = 0;
+      draining = Atomic.make false;
+      inflight = Atomic.make 0;
       drain_idle_ticks = 0;
-      accept_thread = None;
       trace_lock = Mutex.create ();
-      conns = Hashtbl.create 16;
-      conns_lock = Mutex.create ();
-      next_conn = 1;
       requests =
         Metrics.counter registry ~help:"requests received" "service_requests_total";
       scheduled =
@@ -753,18 +547,24 @@ let start ?metrics config =
           "service_connections_active";
     }
   in
-  srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
+  Listener.serve listener ~max_frame:config.max_frame ~requests:srv.requests
+    ~errors:srv.errors ~connections:srv.connections
+    ~admit:(fun () ->
+      (* New connections are turned away mid-drain; a router sees the
+         refusal as a failure and fails over. *)
+      not (Atomic.get srv.draining))
+    ~on_tick:(fun () ->
+      (* The accept loop doubles as the streaming round timer: every
+         wakeup (at most 200 ms apart) runs due periodic rounds and
+         evicts idle streams, so pending streamed work is placed even
+         when no client request arrives to trigger it. *)
+      (try Stream_loop.maybe_tick srv.streams ~now:(now ()) with _ -> ());
+      maybe_finish_drain srv)
+    ~on_stop:(fun () -> Pool.shutdown srv.pool)
+    (handle_request srv);
   srv
 
-let request_stop = request_stop_internal
-
-let wait t =
-  Mutex.lock t.lock;
-  while t.state <> Stopped do
-    Condition.wait t.cond t.lock
-  done;
-  Mutex.unlock t.lock;
-  match t.accept_thread with Some th -> (try Thread.join th with _ -> ()) | None -> ()
+let wait t = Listener.wait t.listener
 
 let stop t =
   request_stop t;

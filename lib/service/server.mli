@@ -1,9 +1,10 @@
 (** The scheduling daemon.
 
-    A TCP server speaking the {!Wire} protocol. Connections are
-    accepted on a listener thread and each served by its own systhread
-    (connection handling is I/O-bound); the actual scheduling runs on a
-    {!Pool} of OCaml 5 domains behind a capacity-bounded queue.
+    A TCP server speaking the {!Wire} protocol through a {!Listener},
+    which accepts connections and serves each on its own systhread
+    (connection handling is I/O-bound) under the shared framing policy;
+    the actual scheduling runs on a {!Pool} of OCaml 5 domains behind a
+    capacity-bounded queue.
 
     The request path for [Schedule] is: validate → parse graph → probe
     the {!Cache} (a hit answers immediately, bypassing the pool) →
@@ -18,10 +19,12 @@
     request/overload/error counters, cache hit/miss/eviction counters,
     a queue-depth gauge, a request-latency histogram and per-stage
     histograms ([service_queue_wait_seconds], [service_cache_seconds],
-    [service_sched_seconds], [service_exec_seconds]). [Get_metrics]
-    serves the registry's Prometheus exposition; [Get_stats] serves a
-    refreshed live snapshot (uptime, cache hit rate, pool depth,
-    per-connection table) in Prometheus or JSON form.
+    [service_sched_seconds], [service_exec_seconds]). Every answer
+    from the registry first refreshes the snapshot gauges (uptime,
+    cache hit rate and entries, pool depth, open connections), so
+    [Get_metrics] and [Get_stats Stats_prometheus] serve the same
+    exposition; [Get_stats Stats_json] adds the per-connection table
+    from {!Listener.connections}.
 
     Every [Schedule] request carries a {!Flb_obs.Trace_context} id,
     taken from the wire header or minted server-side when the header's
@@ -40,11 +43,12 @@
     {!Flb_stream.Scheduler_loop}: a per-stream session table with
     admission control and idle eviction, scheduling rounds that batch
     concurrent streams into one super-DAG, and per-round ["stream"]
-    trace spans. The accept loop doubles as the round timer (its 200 ms
-    select timeout bounds timer-tick latency). Streaming rounds never
-    consult the LRU cache — partial graphs cannot repeat — and are
-    accounted as [cache_bypass_total] so [service_cache_hit_rate] stays
-    meaningful for one-shot traffic. *)
+    trace spans. The listener's accept thread doubles as the round
+    timer: its [on_tick] runs at least every 200 ms, which bounds
+    timer-tick latency. Streaming rounds never consult the LRU cache —
+    partial graphs cannot repeat — and are accounted as
+    [cache_bypass_total] so [service_cache_hit_rate] stays meaningful
+    for one-shot traffic. *)
 
 type config = {
   host : string;  (** Bind address; default ["127.0.0.1"]. *)

@@ -30,8 +30,9 @@
     make the server allocate gigabytes or hang. *)
 
 type stats_format =
-  | Stats_prometheus  (** Text exposition, same as [Get_metrics] plus
-                          refreshed snapshot gauges. *)
+  | Stats_prometheus  (** Text exposition, the same one [Get_metrics]
+                          answers; both refresh the snapshot gauges
+                          first. *)
   | Stats_json  (** One JSON object with cache/pool/connection detail. *)
 
 (** A backend's health as one router believes it, carried in gossip

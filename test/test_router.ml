@@ -8,6 +8,7 @@ module Wire = Flb_service.Wire
 module Cache = Flb_service.Cache
 module Server = Flb_service.Server
 module Client = Flb_service.Client
+module Listener = Flb_service.Listener
 module Ring = Flb_router.Ring
 module Backend = Flb_router.Backend
 module Balancer = Flb_router.Balancer
@@ -361,62 +362,28 @@ let test_router_failover_refused_connection () =
 type fake_behavior = Stall_on_schedule | Close_on_schedule
 
 let start_fake behavior =
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lsock 8;
-  let port =
-    match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> 0
-  in
-  let stop = Atomic.make false in
-  let handle fd =
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let rec loop () =
-      match Wire.read_frame ic with
-      | Error _ -> ()
-      | Ok payload -> (
-        match Wire.decode_request payload with
-        | Ok (trace_id, Wire.Ping) ->
-          Wire.write_frame oc (Wire.encode_response ~trace_id Wire.Pong);
-          loop ()
-        | Ok (_, Wire.Schedule _) -> (
-          match behavior with
-          | Stall_on_schedule ->
-            (* hold the request open past the router's deadline *)
-            while not (Atomic.get stop) do
-              Thread.delay 0.02
-            done
-          | Close_on_schedule ->
-            (* die mid-request: drop the connection without answering *)
-            ())
-        | Ok _ | Error _ -> loop ())
-    in
-    (try loop () with _ -> ());
-    (* [ic] and [oc] share [fd]: close it once. A second close could hit
-       a socket the in-process daemon accepted in between. *)
-    close_out_noerr oc
-  in
-  let acceptor =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop) do
-          match Unix.select [ lsock ] [] [] 0.05 with
-          | [], _, _ -> ()
-          | _ -> (
-            match Unix.accept lsock with
-            | fd, _ -> ignore (Thread.create handle fd)
-            | exception _ -> ())
-          | exception _ -> ()
-        done)
-      ()
-  in
-  let shutdown () =
-    Atomic.set stop true;
-    (try Thread.join acceptor with _ -> ());
-    try Unix.close lsock with _ -> ()
-  in
-  (port, shutdown)
+  let l = Listener.bind ~host:"127.0.0.1" ~port:0 in
+  let counter = Metrics.counter (Metrics.create ()) in
+  Listener.serve l ~max_frame:Wire.default_max_frame
+    ~requests:(counter "requests") ~errors:(counter "errors")
+    ~connections:(counter "connections")
+    (fun ~respond ~trace_id -> function
+      | Wire.Ping ->
+        respond ~trace_id Wire.Pong;
+        true
+      | Wire.Schedule _ ->
+        (match behavior with
+        | Stall_on_schedule ->
+          (* hold the request open past the router's deadline *)
+          while not (Listener.stopping l) do
+            Thread.delay 0.02
+          done
+        | Close_on_schedule ->
+          (* die mid-request: drop the connection without answering *)
+          ());
+        false
+      | _ -> true);
+  (Listener.port l, fun () -> Listener.request_stop l; Listener.wait l)
 
 let run_fake_failover behavior check_elapsed =
   let fake_port, stop_fake = start_fake behavior in
@@ -986,18 +953,7 @@ let test_old_versions_refused () =
      same connection then answers a current Ping: a second answer to the
      old frame would arrive in the Pong's place. *)
   let refuses ~who port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    let answer () =
-      match Wire.read_frame ic with
-      | Ok payload -> Result.map snd (Wire.decode_response payload)
-      | Error e -> Error (Wire.read_error_to_string e)
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    Test_service.with_raw_conn port (fun ~fd:_ ~oc ~answer ->
         for v = 1 to 4 do
           Wire.write_frame oc (old_ping v);
           (match answer () with

@@ -9,6 +9,7 @@ module Cache = Flb_service.Cache
 module Pool = Flb_service.Pool
 module Server = Flb_service.Server
 module Client = Flb_service.Client
+module Listener = Flb_service.Listener
 
 (* --- wire codec round trips (qcheck) --- *)
 
@@ -500,6 +501,22 @@ let with_client port f =
   let c = Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
+(* A bare socket for bytes [Client] would never send: [oc] takes frames
+   or raw bytes, [answer ()] reads one response frame. *)
+let with_raw_conn port f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let oc = Unix.out_channel_of_descr fd in
+  let ic = Unix.in_channel_of_descr fd in
+  let answer () =
+    match Wire.read_frame ic with
+    | Ok payload -> Result.map snd (Wire.decode_response payload)
+    | Error e -> Error (Wire.read_error_to_string e)
+  in
+  (* [ic] and [oc] share [fd]: close it once. A second close could hit
+     a socket the in-process server accepted in between. *)
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f ~fd ~oc ~answer)
+
 let fig1_text () = Serial.to_string (Example.fig1 ())
 
 (* --- server: happy path and cache semantics --- *)
@@ -618,6 +635,31 @@ let test_server_get_load () =
             check_int "result cached" 1 l.Wire.cache_entries
           | Error msg -> Alcotest.fail msg))
 
+(* The prometheus sample of [name] in an exposition. *)
+let sample text name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> float_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+let test_server_metrics_live () =
+  (* Get_metrics refreshes the snapshot gauges, as Get_stats does: a
+     fresh daemon counts the asking connection and a running clock. *)
+  with_server (fun _srv port ->
+      with_client port (fun c ->
+          match Client.get_metrics c with
+          | Ok text ->
+            Alcotest.(check (option (float 0.0)))
+              "service_connections_active" (Some 1.0)
+              (sample text "service_connections_active");
+            check_bool "uptime above 0" true
+              (match sample text "service_uptime_seconds" with
+              | Some up -> up > 0.0
+              | None -> false)
+          | Error msg -> Alcotest.fail msg))
+
 let test_client_io_timeout () =
   (* A peer that accepts but never answers: the client's I/O deadline
      must surface as a transport error, not a hang — this is what lets
@@ -721,28 +763,15 @@ let test_server_rejects_raw_garbage () =
       (* garbage payload in a well-formed frame: structured error, and the
          connection keeps serving *)
       with_client port (fun c ->
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let oc = Unix.out_channel_of_descr fd in
-          let ic = Unix.in_channel_of_descr fd in
-          Wire.write_frame oc "\xde\xad\xbe\xef";
-          (match Wire.read_frame ic with
-          | Ok payload -> expect_error Wire.Bad_request (Result.map snd (Wire.decode_response payload))
-          | Error e -> Alcotest.fail (Wire.read_error_to_string e));
-          (* same connection still answers a well-formed request *)
-          Wire.write_frame oc (Wire.encode_request Wire.Ping);
-          (match Wire.read_frame ic with
-          | Ok payload ->
-            (match Wire.decode_response payload with
-            | Ok (_, Wire.Pong) -> ()
-            | Ok (_, resp) ->
-              Alcotest.failf "expected Pong, got %s" (show_response resp)
-            | Error msg -> Alcotest.fail msg)
-          | Error e -> Alcotest.fail (Wire.read_error_to_string e));
-          (* [ic] and [oc] share [fd]: close it once. A second close
-             could hit a socket the in-process server accepted in
-             between. *)
-          close_out_noerr oc;
+          with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+              Wire.write_frame oc "\xde\xad\xbe\xef";
+              expect_error Wire.Bad_request (answer ());
+              (* same connection still answers a well-formed request *)
+              Wire.write_frame oc (Wire.encode_request Wire.Ping);
+              match answer () with
+              | Ok Wire.Pong -> ()
+              | Ok resp -> Alcotest.failf "expected Pong, got %s" (show_response resp)
+              | Error msg -> Alcotest.fail msg);
           (* and the server as a whole is still alive *)
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping c)))
@@ -750,23 +779,17 @@ let test_server_rejects_raw_garbage () =
 let test_server_truncated_frame () =
   with_server (fun _srv port ->
       with_client port (fun probe ->
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let oc = Unix.out_channel_of_descr fd in
-          let ic = Unix.in_channel_of_descr fd in
-          (* header promises 64 bytes; send 5 and half-close *)
-          let header = Bytes.create 4 in
-          Bytes.set_int32_be header 0 64l;
-          output_bytes oc header;
-          output_string oc "trunc";
-          flush oc;
-          Unix.shutdown fd Unix.SHUTDOWN_SEND;
-          (match Wire.read_frame ic with
-          | Ok payload -> expect_error Wire.Bad_request (Result.map snd (Wire.decode_response payload))
-          | Error e ->
-            Alcotest.failf "no structured response to truncation: %s"
-              (Wire.read_error_to_string e));
-          close_out_noerr oc;
+          with_raw_conn port (fun ~fd ~oc ~answer ->
+              (* header promises 64 bytes; send 5 and half-close *)
+              let header = Bytes.create 4 in
+              Bytes.set_int32_be header 0 64l;
+              output_bytes oc header;
+              output_string oc "trunc";
+              flush oc;
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              match answer () with
+              | Error msg -> Alcotest.failf "no structured response to truncation: %s" msg
+              | resp -> expect_error Wire.Bad_request resp);
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping probe)))
 
@@ -774,22 +797,102 @@ let test_server_oversized_frame () =
   let config = { Server.default_config with max_frame = 4096 } in
   with_server ~config (fun _srv port ->
       with_client port (fun probe ->
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let oc = Unix.out_channel_of_descr fd in
-          let ic = Unix.in_channel_of_descr fd in
-          let header = Bytes.create 4 in
-          Bytes.set_int32_be header 0 1_000_000l;
-          output_bytes oc header;
-          flush oc;
-          (match Wire.read_frame ic with
-          | Ok payload -> expect_error Wire.Bad_request (Result.map snd (Wire.decode_response payload))
-          | Error e ->
-            Alcotest.failf "no structured response to oversized frame: %s"
-              (Wire.read_error_to_string e));
-          close_out_noerr oc;
+          with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+              let header = Bytes.create 4 in
+              Bytes.set_int32_be header 0 1_000_000l;
+              output_bytes oc header;
+              flush oc;
+              match answer () with
+              | Error msg ->
+                Alcotest.failf "no structured response to oversized frame: %s" msg
+              | resp -> expect_error Wire.Bad_request resp);
           Alcotest.(check (result unit string)) "server alive" (Ok ())
             (Client.ping probe)))
+
+(* --- listener: framing policy and lifecycle --- *)
+
+let test_listener () =
+  let registry = Flb_obs.Metrics.create () in
+  let counter = Flb_obs.Metrics.counter registry in
+  let errors = counter "errors" in
+  let stops = Atomic.make 0 in
+  let l = Listener.bind ~host:"127.0.0.1" ~port:0 in
+  (* Scripted: Ping answers Pong, Shutdown returns [false], Get_load
+     raises. *)
+  Listener.serve l ~max_frame:4096 ~requests:(counter "requests") ~errors
+    ~connections:(counter "connections")
+    ~on_stop:(fun () -> Atomic.incr stops)
+    (fun ~respond ~trace_id -> function
+      | Wire.Ping ->
+        respond ~trace_id Wire.Pong;
+        true
+      | Wire.Shutdown -> false
+      | Wire.Get_load -> failwith "scripted handler failure"
+      | _ -> true);
+  let port = Listener.port l in
+  let bad_request what = function
+    | Ok (Wire.Error { code = Wire.Bad_request; _ }) -> ()
+    | Ok resp -> Alcotest.failf "%s: answered %s" what (show_response resp)
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let pong what = function
+    | Ok Wire.Pong -> ()
+    | Ok resp -> Alcotest.failf "%s: answered %s" what (show_response resp)
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let eof what = function
+    | Error msg when msg = Wire.read_error_to_string Wire.Closed -> ()
+    | Ok resp -> Alcotest.failf "%s: answered %s" what (show_response resp)
+    | Error msg -> Alcotest.failf "%s: %s instead of EOF" what msg
+  in
+  let ping = Wire.encode_request Wire.Ping in
+  Fun.protect
+    ~finally:(fun () -> Listener.request_stop l)
+    (fun () ->
+      (* A foreign version byte: one Bad_request, and the connection
+         keeps serving. *)
+      with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+          Wire.write_frame oc "\x01\x03";
+          bad_request "v1 frame" (answer ());
+          Wire.write_frame oc ping;
+          pong "Ping after the v1 frame" (answer ());
+          match Listener.connections l with
+          | [ c ] -> check_int "frames read on the open connection" 2 c.conn_requests
+          | rows -> Alcotest.failf "%d open connections listed" (List.length rows));
+      (* The header promises 64 bytes; 5 arrive, then the peer
+         half-closes. *)
+      with_raw_conn port (fun ~fd ~oc ~answer ->
+          output_string oc "\x00\x00\x00\x40trunc";
+          flush oc;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          bad_request "truncated frame" (answer ());
+          eof "after the truncated frame" (answer ()));
+      (* The header declares 1,000,000 bytes, above [max_frame]. *)
+      with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+          output_string oc "\x00\x0f\x42\x40";
+          flush oc;
+          bad_request "oversized frame" (answer ());
+          eof "after the oversized frame" (answer ()));
+      check_int "errors: v1, truncated, oversized" 3
+        (Flb_obs.Metrics.Counter.value errors);
+      with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+          Wire.write_frame oc (Wire.encode_request Wire.Shutdown);
+          eof "handler returned false" (answer ()));
+      with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+          Wire.write_frame oc (Wire.encode_request Wire.Get_load);
+          eof "handler raised" (answer ()));
+      with_raw_conn port (fun ~fd:_ ~oc ~answer ->
+          Wire.write_frame oc ping;
+          pong "a new connection" (answer ())));
+  check_bool "stopping" true (Listener.stopping l);
+  Listener.wait l;
+  check_bool "stopped" true (Listener.stopped l);
+  check_int "on_stop ran once" 1 (Atomic.get stops);
+  match Client.connect ~port () with
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
+  | c ->
+    Client.close c;
+    Alcotest.fail "connect accepted after stop"
 
 (* --- server: admission control and deadlines --- *)
 
@@ -1114,6 +1217,8 @@ let suite =
       test_server_cache_hit_byte_identical;
     Alcotest.test_case "server: stats snapshot" `Quick test_server_stats;
     Alcotest.test_case "server: load probe" `Quick test_server_get_load;
+    Alcotest.test_case "server: metrics gauges are live" `Quick
+      test_server_metrics_live;
     Alcotest.test_case "client: I/O deadline on a mute peer" `Quick
       test_client_io_timeout;
     Alcotest.test_case "server: trace id minted and echoed" `Quick
@@ -1126,6 +1231,8 @@ let suite =
       test_server_rejects_raw_garbage;
     Alcotest.test_case "server: truncated frame" `Quick test_server_truncated_frame;
     Alcotest.test_case "server: oversized frame" `Quick test_server_oversized_frame;
+    Alcotest.test_case "listener: framing policy and lifecycle" `Quick
+      test_listener;
     Alcotest.test_case "server: admission control sheds load" `Quick
       test_server_admission_control;
     Alcotest.test_case "server: queueing deadline" `Quick test_server_queue_deadline;
