@@ -9,7 +9,7 @@
      execute   run a graph on real OCaml domains (lib/runtime)
      analyze   makespan attribution for an executed trace (realized critical
                path, slack, busy/idle, stragglers)
-     experiment regenerate a figure of the paper from the CLI
+     experiment regenerate tables and figures of the paper's evaluation
      serve     run the scheduling daemon (lib/service)
      request   send one schedule request to a running daemon
      stream    ship a graph to a daemon incrementally (lib/stream)
@@ -1415,53 +1415,50 @@ let analyze_cmd =
 (* --- experiment --- *)
 
 let experiment_cmd =
-  let which_arg =
-    let doc = "Which experiment: fig2, fig3, fig4, complexity, duplication, granularity, runtime, resched." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc)
+  let module X = E.Experiment in
+  let names = String.concat ", " (List.map (fun (x : X.t) -> x.name) X.all) in
+  let names_arg =
+    let doc = "Experiments to run, by name ($(b,all) runs every one): " ^ names ^ "." in
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"NAME" ~doc)
   in
-  let tasks_arg =
-    Arg.(value & opt int 2000 & info [ "n"; "tasks" ] ~docv:"V" ~doc:"Graph size.")
+  let quick_arg =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller graphs and fewer instances: a smoke run.")
   in
   let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.")
+    let doc =
+      "Also write each experiment's plot-ready rows to DIR/NAME.csv (created if missing)."
+    in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
-  let run which tasks csv =
-    match String.lowercase_ascii which with
-    | "fig2" ->
-      let cells =
-        E.Runtime_exp.run ~suite:(E.Workload_suite.fig4_suite ~tasks ()) ()
-      in
-      print_string (if csv then E.Runtime_exp.to_csv cells else E.Runtime_exp.render cells)
-    | "fig3" ->
-      let cells =
-        E.Speedup_exp.run ~suite:(E.Workload_suite.fig3_suite ~tasks ()) ()
-      in
-      print_string (if csv then E.Speedup_exp.to_csv cells else E.Speedup_exp.render cells)
-    | "fig4" ->
-      let cells = E.Nsl_exp.run ~suite:(E.Workload_suite.fig4_suite ~tasks ()) () in
-      print_string (if csv then E.Nsl_exp.to_csv cells else E.Nsl_exp.render cells)
-    | "complexity" ->
-      let cells = E.Complexity_exp.run () in
-      print_string
-        (if csv then E.Complexity_exp.to_csv cells else E.Complexity_exp.render cells)
-    | "duplication" ->
-      print_string (E.Duplication_exp.render (E.Duplication_exp.run ()))
-    | "granularity" ->
-      print_string (E.Granularity_exp.render (E.Granularity_exp.run ()))
-    | "runtime" ->
-      let rows = E.Runtime_real_exp.run () in
-      print_string
-        (if csv then E.Runtime_real_exp.to_csv rows else E.Runtime_real_exp.render rows)
-    | "resched" ->
-      let rows = E.Resched_exp.run () in
-      print_string
-        (if csv then E.Resched_exp.to_csv rows else E.Resched_exp.render rows)
-    | other ->
-      prerr_endline ("unknown experiment: " ^ other);
-      exit 2
+  let run requested quick csv_dir =
+    let selected =
+      List.concat_map
+        (fun name ->
+          if String.lowercase_ascii name = "all" then X.all
+          else
+            match X.find name with
+            | Some x -> [ x ]
+            | None ->
+              Printf.eprintf "unknown experiment: %s (one of %s, or all)\n" name names;
+              exit 2)
+        requested
+    in
+    List.iter
+      (fun (x : X.t) ->
+        Printf.printf "\n== %s ==\n%!" x.title;
+        let out = x.run ~quick in
+        print_string out.X.text;
+        match (csv_dir, out.X.csv) with
+        | Some dir, Some csv ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let path = Filename.concat dir (x.name ^ ".csv") in
+          Out_channel.with_open_text path (fun oc -> output_string oc csv);
+          Printf.printf "[csv] wrote %s\n%!" path
+        | _ -> flush stdout)
+      selected
   in
-  let doc = "Regenerate a figure of the paper." in
-  Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ which_arg $ tasks_arg $ csv_arg)
+  let doc = "Regenerate tables and figures of the paper's evaluation." in
+  Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ names_arg $ quick_arg $ csv_arg)
 
 let () =
   let doc = "FLB task scheduling for distributed-memory machines" in

@@ -29,14 +29,6 @@ type iteration = {
 
 type observer = Schedule.t -> iteration -> unit
 
-type stats = {
-  iterations : int;
-  task_queue_ops : int;
-  proc_queue_ops : int;
-  demotions : int;
-  peak_ready : int;
-}
-
 (* Queue keys are (value, tie-break) pairs ordered lexicographically, with
    the secondary component holding the negated bottom level or the task id.
    Flat_heap stores both components in unboxed float arrays and breaks
@@ -337,19 +329,6 @@ let run ?options ?observer ?probe graph machine =
 
 let run_into ?options ?observer ?probe sched =
   (run_state_into ?options ?observer ?probe sched).sched
-
-let run_with_stats ?options ?observer ?probe graph machine =
-  let probe = match probe with Some p -> p | None -> Probe.create "FLB" in
-  let st = run_state ?options ?observer ~probe graph machine in
-  let r = Probe.report probe in
-  ( st.sched,
-    {
-      iterations = Taskgraph.num_tasks graph;
-      task_queue_ops = r.Probe.task_queue_ops;
-      proc_queue_ops = r.Probe.proc_queue_ops;
-      demotions = r.Probe.demotions;
-      peak_ready = r.Probe.peak_ready;
-    } )
 
 let schedule_length ?options graph machine =
   Schedule.makespan (run ?options graph machine)

@@ -89,7 +89,11 @@ val run :
     probe is timed) per-phase wall time through the shared
     {!Flb_obs.Probe} schema; the default is a live untimed probe, whose
     bookkeeping is plain integer mutation — an untimed probe adds no
-    allocation to the scheduling loop. *)
+    allocation to the scheduling loop. The counters are the units of the
+    paper's O(V (log W + log P) + E) bound: at most 7 task-queue
+    operations per task (two insertions at readiness, three on its one
+    possible demotion, two removals), and a ready-set peak never above
+    the graph's width W. *)
 
 val run_into :
   ?options:options ->
@@ -107,34 +111,3 @@ val run_into :
 
 val schedule_length : ?options:options -> Taskgraph.t -> Machine.t -> float
 (** Convenience: makespan of {!run}. *)
-
-(** {1 Instrumentation}
-
-    Counters backing the empirical complexity validation (the paper's
-    central claim is the O(V (log W + log P) + E) bound; the
-    [complexity] bench section checks that these counters scale
-    accordingly). *)
-
-type stats = {
-  iterations : int;  (** scheduling iterations = V *)
-  task_queue_ops : int;
-      (** insertions/removals/re-keyings across the three task queues;
-          the paper bounds this by O(V) operations of O(log W) each *)
-  proc_queue_ops : int;
-      (** operations on the two processor queues; O(V) of O(log P) each *)
-  demotions : int;  (** EP-type tasks demoted to non-EP (UpdateTaskLists) *)
-  peak_ready : int;
-      (** largest number of simultaneously queued ready tasks; never
-          exceeds the task-graph width W *)
-}
-
-val run_with_stats :
-  ?options:options ->
-  ?observer:observer ->
-  ?probe:Flb_obs.Probe.t ->
-  Taskgraph.t ->
-  Machine.t ->
-  Schedule.t * stats
-(** The [stats] record is read back off the run's probe (supplied or
-    internal), so it is one view of the same counters every other
-    scheduler reports through {!Flb_obs.Probe}. *)

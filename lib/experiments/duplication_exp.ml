@@ -12,10 +12,11 @@ type cell = {
   seconds : float;
 }
 
+(* One timed run after the warm-up: the table compares orders of
+   magnitude, not percent. *)
 let time f =
-  let t0 = Sys.time () in
-  let y = f () in
-  (y, Sys.time () -. t0)
+  let y, cost = Cost_exp.time ~repeats:1 f in
+  (y, cost.Cost_exp.seconds)
 
 let structures ~tasks =
   [

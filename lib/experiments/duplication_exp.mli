@@ -15,7 +15,7 @@ type cell = {
   algorithm : string;
   makespan : float;
   copies : int;  (** total placed copies; V for non-duplicating rows *)
-  seconds : float;
+  seconds : float;  (** one timed run after a warm-up ({!Cost_exp.time}) *)
 }
 
 val run :

@@ -31,16 +31,16 @@ let run ?(procs = 8) ?(ccrs = [ 0.2; 5.0 ]) ?(grains = [ 1.0; 4.0; 16.0; infinit
           List.map
             (fun max_grain ->
               let coarse, _ = Coarsen.merge_chains ~max_grain g in
-              let t0 = Sys.time () in
-              let s = Flb_core.Flb.run coarse machine in
-              let dt = Sys.time () -. t0 in
+              let s, cost =
+                Cost_exp.time ~repeats:1 (fun () -> Flb_core.Flb.run coarse machine)
+              in
               {
                 workload = name;
                 ccr;
                 max_grain;
                 coarse_tasks = Taskgraph.num_tasks coarse;
                 makespan = Schedule.makespan s;
-                sched_seconds = dt;
+                sched_seconds = cost.Cost_exp.seconds;
               })
             grains)
         ccrs)

@@ -13,7 +13,7 @@ type cell = {
   max_grain : float;  (** [infinity] = unlimited merging *)
   coarse_tasks : int;
   makespan : float;
-  sched_seconds : float;
+  sched_seconds : float;  (** one timed run after a warm-up ({!Cost_exp.time}) *)
 }
 
 val run : ?procs:int -> ?ccrs:float list -> ?grains:float list -> unit -> cell list

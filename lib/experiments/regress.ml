@@ -16,34 +16,7 @@ let suite_procs = 8
 
 let suite_ccr = 1.0
 
-let measure ~repeats (algo : Registry.t) graph machine =
-  let v = max 1 (Taskgraph.num_tasks graph) in
-  (* Warm-up run: faults in lazily materialized views so the measured
-     runs see only steady-state behaviour. *)
-  ignore (algo.Registry.run graph machine);
-  (* Both metrics are best-of-N. Time for the usual scheduling-noise
-     reasons; allocation because [Gc.allocated_bytes] deltas sporadically
-     include a large runtime-internal lump (~900 KB on OCaml 5.1) that is
-     unrelated to the scheduler under test. The mutator's own allocation
-     is deterministic, so the minimum over repeats is the clean figure. *)
-  let best_dt = ref Float.infinity in
-  let best_bytes = ref Float.infinity in
-  for _ = 1 to repeats do
-    let bytes_before = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    ignore (algo.Registry.run graph machine);
-    let dt = Unix.gettimeofday () -. t0 in
-    let bytes = Gc.allocated_bytes () -. bytes_before in
-    if dt < !best_dt then best_dt := dt;
-    if bytes < !best_bytes then best_bytes := bytes
-  done;
-  let ns_per_task = !best_dt *. 1e9 /. float_of_int v in
-  let bytes_per_task = !best_bytes /. float_of_int v in
-  (ns_per_task, bytes_per_task)
-
-let run ?(quick = false) ?repeats () =
-  let repeats = match repeats with Some r -> r | None -> if quick then 3 else 5 in
-  let tasks = if quick then 400 else 2000 in
+let run () =
   let machine = Flb_platform.Machine.clique ~num_procs:suite_procs in
   let entries =
     List.concat_map
@@ -51,31 +24,20 @@ let run ?(quick = false) ?repeats () =
         let graph = Workload_suite.instance workload ~ccr:suite_ccr ~seed:1 in
         List.map
           (fun (algo : Registry.t) ->
-            let ns_per_task, bytes_per_task = measure ~repeats algo graph machine in
+            let c = Cost_exp.measure ~repeats:3 algo graph machine in
             {
               scheduler = algo.Registry.name;
               workload = workload.Workload_suite.name;
-              tasks = Taskgraph.num_tasks graph;
+              tasks = c.Cost_exp.tasks;
               procs = suite_procs;
               ccr = suite_ccr;
-              ns_per_task;
-              bytes_per_task;
+              ns_per_task = c.Cost_exp.ns_per_task;
+              bytes_per_task = c.Cost_exp.bytes_per_task;
             })
           Registry.paper_set)
-      (Workload_suite.fig4_suite ~tasks ())
+      (Workload_suite.fig4_suite ~tasks:400 ())
   in
-  { mode = (if quick then "quick" else "full"); entries }
-
-let run_baseline ?repeats () =
-  (* The committed baseline carries both suite sizes because bytes/task
-     is not size-independent: schedulers with width-dependent per-task
-     state (ALAP sets, cluster queues) allocate measurably more per task
-     at V≈2000 than at V≈400. The CI smoke run uses the quick suite and
-     must diff against quick entries; [check] keys on [tasks] to keep the
-     two populations apart. *)
-  let full = run ?repeats () in
-  let quick = run ~quick:true ?repeats () in
-  { mode = "full+quick"; entries = full.entries @ quick.entries }
+  { mode = "quick"; entries }
 
 let render r =
   let table =

@@ -1,21 +1,20 @@
-(** Machine-readable performance-regression harness.
+(** Machine-readable allocation gate.
 
-    Measures, for every scheduler in {!Registry.paper_set} on the Fig. 2
-    workload suite, two per-task metrics:
+    For every scheduler in {!Registry.paper_set} on the Fig. 4 suite at
+    V≈400 (P = 8, CCR 1.0, seed 1), two per-task figures from
+    {!Cost_exp.measure}:
 
     - [ns_per_task]: best-of-N wall time per scheduled task (noisy;
       recorded as a trajectory, never asserted in CI);
-    - [bytes_per_task]: best-of-N [Gc.allocated_bytes] delta of one run
-      divided by the task count. The mutator's allocation is
-      deterministic, but on OCaml 5 the delta sporadically includes a
-      large runtime-internal lump, so the minimum over repeats is the
-      clean figure — and it {e is} asserted against the committed
+    - [bytes_per_task]: best-of-N bytes allocated by one run divided by
+      the task count, which {e is} asserted against the committed
       baseline.
 
     The report serializes to the committed [BENCH_schedulers.json], the
     only file [bench/main.exe --regress] writes; a minimal private JSON
-    reader loads it back so CI's allocation gate
-    ([--regress-check]) needs no external tooling. *)
+    reader loads it back so CI's gate ([--regress-check]) needs no
+    external tooling. Cost figures at V≈2000 are [flb experiment fig2]'s
+    and [flb experiment complexity]'s. *)
 
 type entry = {
   scheduler : string;
@@ -28,21 +27,12 @@ type entry = {
 }
 
 type report = {
-  mode : string;  (** ["full"], ["quick"], or ["full+quick"] *)
+  mode : string;  (** ["quick"]: the V≈400 suite *)
   entries : entry list;
 }
 
-val run : ?quick:bool -> ?repeats:int -> unit -> report
-(** Runs one suite. [quick] (default false) shrinks graphs to V≈400 for
-    smoke use; the full suite uses V≈2000. [repeats] overrides the
-    best-of count for both metrics. *)
-
-val run_baseline : ?repeats:int -> unit -> report
-(** Runs the full {e and} quick suites and concatenates their entries
-    (mode ["full+quick"]). This is what [--regress] writes to the
-    committed [BENCH_schedulers.json]: bytes/task is not size-independent
-    for every scheduler, so the CI quick run needs quick entries to diff
-    against while the full entries document the paper-scale figures. *)
+val run : unit -> report
+(** Measures the suite, best of 3 for both figures. *)
 
 val render : report -> string
 (** Human-readable table. *)
@@ -57,9 +47,9 @@ val of_json : string -> (report, string) result
 val check :
   baseline:report -> current:report -> tolerance:float -> (unit, string list) result
 (** Compares allocation metrics of [current] against [baseline], keyed by
-    (scheduler, workload, procs, tasks) — the task count is part of the
-    key so a quick run is only ever compared against quick baseline
-    entries. A pair fails when the relative difference in
+    (scheduler, workload, procs, tasks) — bytes/task is not
+    size-independent for every scheduler, so an entry measured at
+    another task count never matches. A pair fails when the relative difference in
     [bytes_per_task] exceeds [tolerance] and the absolute difference
     exceeds a 64-byte slack; an entry present in [current] with no
     matching baseline entry also fails. Timing fields are deliberately

@@ -526,9 +526,6 @@ let handle_request t ~respond ~trace_id = function
   | Wire.Schedule { graph; algo; procs } ->
     respond ~trace_id (handle_schedule t ~trace_id ~graph ~algo ~procs);
     true
-  | Wire.Get_metrics ->
-    respond ~trace_id (Wire.Metrics_text (stats_text t Wire.Stats_prometheus));
-    true
   | Wire.Get_stats fmt ->
     respond ~trace_id (Wire.Stats_text (stats_text t fmt));
     true

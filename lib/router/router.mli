@@ -18,8 +18,8 @@
     rather than [Overloaded] ([router_graph_parses_total] counts these
     parses).
 
-    Everything else is answered locally: [Ping] → [Pong], [Get_metrics]
-    / [Get_stats] from the router's own registry (with a per-backend
+    Everything else is answered locally: [Ping] → [Pong], [Get_stats]
+    (either format) from the router's own registry (with a per-backend
     table), [Get_load] with aggregate fleet load, [Shutdown] stops the
     router (backends keep running).
 

@@ -108,15 +108,12 @@ let expect what pick t request =
     match pick resp with Some v -> Ok v | None -> unexpected what resp)
   | Error msg -> Error msg
 
-let get_metrics t =
-  expect "Get_metrics"
-    (function Wire.Metrics_text text -> Some text | _ -> None)
-    t Wire.Get_metrics
-
 let get_stats t ~format =
   expect "Get_stats"
     (function Wire.Stats_text text -> Some text | _ -> None)
     t (Wire.Get_stats format)
+
+let get_metrics t = get_stats t ~format:Wire.Stats_prometheus
 
 let get_load t =
   expect "Get_load" (function Wire.Load l -> Some l | _ -> None) t Wire.Get_load

@@ -58,7 +58,8 @@ val schedule :
     {!Flb_taskgraph.Serial} text format. *)
 
 val get_metrics : t -> (string, string) result
-(** The server registry's Prometheus exposition. *)
+(** The server registry's Prometheus exposition: [get_stats] in
+    {!Wire.Stats_prometheus} form. *)
 
 val get_stats : t -> format:Wire.stats_format -> (string, string) result
 (** Live introspection snapshot, pre-rendered by the daemon. *)

@@ -378,9 +378,6 @@ let handle_request srv ~respond ~trace_id = function
     in
     respond ~trace_id:(Ctx.id ctx) resp;
     true
-  | Wire.Get_metrics ->
-    respond ~trace_id (Wire.Metrics_text (stats_text srv Wire.Stats_prometheus));
-    true
   | Wire.Get_stats fmt ->
     respond ~trace_id (Wire.Stats_text (stats_text srv fmt));
     true

@@ -21,10 +21,10 @@
     histograms ([service_queue_wait_seconds], [service_cache_seconds],
     [service_sched_seconds], [service_exec_seconds]). Every answer
     from the registry first refreshes the snapshot gauges (uptime,
-    cache hit rate and entries, pool depth, open connections), so
-    [Get_metrics] and [Get_stats Stats_prometheus] serve the same
-    exposition; [Get_stats Stats_json] adds the per-connection table
-    from {!Listener.connections}.
+    cache hit rate and entries, pool depth, open connections):
+    [Get_stats Stats_prometheus] is the Prometheus exposition
+    ([Client.get_metrics] asks for it), and [Get_stats Stats_json] adds
+    the per-connection table from {!Listener.connections}.
 
     Every [Schedule] request carries a {!Flb_obs.Trace_context} id,
     taken from the wire header or minted server-side when the header's

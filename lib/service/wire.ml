@@ -12,7 +12,6 @@ type gossip_digest = {
 
 type request =
   | Schedule of { graph : string; algo : string; procs : int }
-  | Get_metrics
   | Get_stats of stats_format
   | Get_load
   | Ping
@@ -61,7 +60,6 @@ type response =
       cache_hit : bool;
       breakdown : breakdown;
     }
-  | Metrics_text of string
   | Stats_text of string
   | Load of load
   | Pong
@@ -278,7 +276,6 @@ let put_request buf r =
     put_string buf graph;
     put_string buf algo;
     put_i32 buf procs
-  | Get_metrics -> put_u8 buf 2
   | Ping -> put_u8 buf 3
   | Shutdown -> put_u8 buf 4
   | Get_stats fmt ->
@@ -325,7 +322,6 @@ let decode_request payload =
         let algo = get_string cur "algo" in
         let procs = get_i32 cur "procs" in
         Schedule { graph; algo; procs }
-      | 2 -> Get_metrics
       | 3 -> Ping
       | 4 -> Shutdown
       | 5 -> Get_stats (stats_format_of_int (get_u8 cur "stats format"))
@@ -385,9 +381,6 @@ let put_response buf r =
     put_f64 buf breakdown.cache_s;
     put_f64 buf breakdown.sched_s;
     put_f64 buf breakdown.exec_s
-  | Metrics_text text ->
-    put_u8 buf 2;
-    put_string buf text
   | Pong -> put_u8 buf 3
   | Shutting_down -> put_u8 buf 4
   | Overloaded -> put_u8 buf 5
@@ -444,7 +437,6 @@ let decode_response payload =
         let exec_s = get_f64 cur "exec_s" in
         let breakdown = { queue_wait_s; cache_s; sched_s; exec_s } in
         Scheduled { schedule; makespan; speedup; nsl; cache_hit; breakdown }
-      | 2 -> Metrics_text (get_string cur "metrics")
       | 3 -> Pong
       | 4 -> Shutting_down
       | 5 -> Overloaded

@@ -30,9 +30,12 @@
     make the server allocate gigabytes or hang. *)
 
 type stats_format =
-  | Stats_prometheus  (** Text exposition, the same one [Get_metrics]
-                          answers; both refresh the snapshot gauges
-                          first. *)
+  | Stats_prometheus
+      (** Prometheus text exposition of the server's registry, with the
+          snapshot gauges refreshed first. This is the one metrics
+          message. Tag 2 stays unassigned in both directions and
+          decodes as an unknown tag: version-5 peers built before it
+          was retired may still send it for metrics. *)
   | Stats_json  (** One JSON object with cache/pool/connection detail. *)
 
 (** A backend's health as one router believes it, carried in gossip
@@ -59,7 +62,6 @@ type request =
   | Schedule of { graph : string; algo : string; procs : int }
       (** [graph] in the {!Flb_taskgraph.Serial} text format; [algo] as
           understood by {!Flb_experiments.Registry.find}. *)
-  | Get_metrics  (** Prometheus exposition of the server registry. *)
   | Get_stats of stats_format
       (** Live introspection snapshot: metrics registry, cache hit
           rate, pool depth, per-connection state. *)
@@ -143,7 +145,6 @@ type response =
       cache_hit : bool;
       breakdown : breakdown;
     }
-  | Metrics_text of string
   | Stats_text of string  (** [Get_stats] answer, pre-rendered in the
                               requested format. *)
   | Load of load  (** [Get_load] answer. *)

@@ -107,16 +107,18 @@ let test_speedup_render () =
 
 let test_runtime_exp_smoke () =
   let cells =
-    E.Runtime_exp.run
+    E.Cost_exp.fig2
       ~algorithms:[ E.Registry.flb; E.Registry.fcp ]
       ~suite:[ E.Workload_suite.stencil ~tasks:100 () ]
       ~ccrs:[ 1.0 ] ~procs:[ 2 ] ~repeats:1 ~instances_per_cell:1 ()
   in
   check_int "two cells" 2 (List.length cells);
   List.iter
-    (fun c -> check_bool "time measured" true (c.E.Runtime_exp.seconds >= 0.0))
+    (fun c ->
+      check_bool "time measured" true (c.E.Cost_exp.ns_per_task >= 0.0);
+      check_bool "bytes measured" true (c.E.Cost_exp.bytes_per_task > 0.0))
     cells;
-  check_bool "render nonempty" true (String.length (E.Runtime_exp.render cells) > 0)
+  check_bool "render nonempty" true (String.length (E.Cost_exp.render_fig2 cells) > 0)
 
 let test_random_suite () =
   let suite = E.Workload_suite.random_suite ~tasks:200 () in
@@ -130,17 +132,18 @@ let test_random_suite () =
     suite
 
 let test_complexity_exp_smoke () =
-  let cells =
-    E.Complexity_exp.run ~sizes:[ 100 ] ~procs:[ 2 ] ~repeats:1 ()
-  in
+  let cells = E.Cost_exp.scaling ~sizes:[ 100 ] ~procs:[ 2 ] ~repeats:1 () in
   check_int "three algorithms" 3 (List.length cells);
-  (match List.find_opt (fun c -> c.E.Complexity_exp.algorithm = "FLB") cells with
+  List.iter
+    (fun c -> check_bool "bytes measured" true (c.E.Cost_exp.bytes_per_task > 0.0))
+    cells;
+  (match List.find_opt (fun c -> c.E.Cost_exp.algorithm = "FLB") cells with
   | Some c ->
-    check_bool "ops counted" true (c.E.Complexity_exp.task_queue_ops_per_task > 0.0);
-    check_bool "peak ready recorded" true (c.E.Complexity_exp.peak_ready > 0)
+    check_bool "ops counted" true (c.E.Cost_exp.task_ops_per_task > 0.0);
+    check_bool "peak ready recorded" true (c.E.Cost_exp.peak_ready > 0)
   | None -> Alcotest.fail "no FLB cell");
-  check_bool "render" true (String.length (E.Complexity_exp.render cells) > 0);
-  check_bool "csv" true (String.length (E.Complexity_exp.to_csv cells) > 0)
+  check_bool "render" true (String.length (E.Cost_exp.render_scaling cells) > 0);
+  check_bool "csv" true (String.length (E.Cost_exp.to_csv cells) > 0)
 
 let test_duplication_exp_smoke () =
   let cells = E.Duplication_exp.run ~ccrs:[ 2.0 ] ~procs:[ 4 ] ~tasks:60 () in
@@ -211,6 +214,54 @@ let find hay needle =
   go 0
 
 let contains hay needle = find hay needle <> None
+
+(* Fig. 2 pools graphs of different sizes; its title names the mean task
+   count it measured, whatever the suite. *)
+let test_fig2_title () =
+  let suite =
+    [ E.Workload_suite.stencil ~tasks:100 (); E.Workload_suite.lu ~tasks:200 () ]
+  in
+  let sizes =
+    List.map
+      (fun w ->
+        Flb_taskgraph.Taskgraph.num_tasks (E.Workload_suite.instance w ~ccr:1.0 ~seed:1))
+      suite
+  in
+  let mean = Float.round (float_of_int (List.fold_left ( + ) 0 sizes) /. 2.0) in
+  let cells =
+    E.Cost_exp.fig2 ~algorithms:[ E.Registry.flb ] ~suite ~ccrs:[ 1.0 ] ~procs:[ 2 ]
+      ~repeats:1 ~instances_per_cell:1 ()
+  in
+  let title = List.hd (String.split_on_char '\n' (E.Cost_exp.render_fig2 cells)) in
+  check_bool
+    (Printf.sprintf "%S names V = %.0f" title mean)
+    true
+    (contains title (Printf.sprintf "V = %.0f)" mean))
+
+let test_experiment_list () =
+  let names = List.map (fun x -> x.E.Experiment.name) E.Experiment.all in
+  Alcotest.(check (list string))
+    "the fourteen, in order"
+    [
+      "table1"; "fig2"; "fig3"; "fig4"; "ablation"; "complexity"; "duplication";
+      "granularity"; "multistep"; "mesh"; "contention"; "random"; "runtime"; "resched";
+    ]
+    names;
+  check_int "unique" (List.length names) (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n -> Alcotest.(check string) "lowercase" (String.lowercase_ascii n) n)
+    names;
+  check_bool "find ignores case" true
+    (match E.Experiment.find "FiG2" with
+    | Some x -> x.E.Experiment.name = "fig2"
+    | None -> false);
+  check_bool "find nosuch" true (Option.is_none (E.Experiment.find "nosuch"));
+  match E.Experiment.find "table1" with
+  | Some x ->
+    check_bool "Table 1's schedule length" true
+      (contains (x.E.Experiment.run ~quick:true).E.Experiment.text
+         "schedule length: 14 (paper: 14)")
+  | None -> Alcotest.fail "no table1"
 
 (* The allocation gate CI runs against the committed BENCH_schedulers.json:
    [of_json] must read back what [to_json] writes, and [check] must fail
@@ -345,5 +396,7 @@ let suite =
     Alcotest.test_case "contention experiment smoke" `Quick test_contention_exp_smoke;
     Alcotest.test_case "table" `Quick test_table;
     Alcotest.test_case "regress gate" `Quick test_regress_gate;
+    Alcotest.test_case "fig2 title states the measured V" `Quick test_fig2_title;
+    Alcotest.test_case "experiment list" `Quick test_experiment_list;
     Alcotest.test_case "oversubscribed rows" `Quick test_oversubscribed_rows;
   ]

@@ -191,16 +191,19 @@ let test_determinism () =
     check_float "same start" (Schedule.start_time s1 t) (Schedule.start_time s2 t)
   done
 
+let run_counted g m =
+  Flb_experiments.Registry.run_with_report ~timed:false Flb_experiments.Registry.flb g m
+
 let test_stats_fig1 () =
   let g = Example.fig1 () in
-  let s, stats = Flb.run_with_stats g (machine2 ()) in
+  let s, r = run_counted g (machine2 ()) in
   check_float "same schedule" Example.fig1_schedule_length (Schedule.makespan s);
-  check_int "iterations = V" 8 stats.Flb.iterations;
-  check_bool "peak ready at most width" true (stats.Flb.peak_ready <= Width.exact g);
-  check_bool "some queue activity" true (stats.Flb.task_queue_ops > 0);
+  check_int "iterations = V" 8 r.Flb_obs.Probe.iterations;
+  check_bool "peak ready at most width" true (r.Flb_obs.Probe.peak_ready <= Width.exact g);
+  check_bool "some queue activity" true (r.Flb_obs.Probe.task_queue_ops > 0);
   (* the trace shows exactly three demotions: t1 (after t3 runs), t5
      (after t2) and t6 (after t5 pushes PRT(p0) past LMT(t6) = 8) *)
-  check_int "demotions" 3 stats.Flb.demotions
+  check_int "demotions" 3 r.Flb_obs.Probe.demotions
 
 let qsuite =
   [
@@ -208,30 +211,31 @@ let qsuite =
       arb_scheduling_case (fun (p, procs) ->
         let g = build_dag p in
         let v = Taskgraph.num_tasks g in
-        let _, stats = Flb.run_with_stats g (Machine.clique ~num_procs:procs) in
+        let _, r = run_counted g (Machine.clique ~num_procs:procs) in
         (* every task: at most 2 insertions at readiness, 3 ops on its one
            possible demotion, and 2 removals when scheduled *)
-        stats.Flb.iterations = v
-        && stats.Flb.task_queue_ops <= 7 * v
-        && stats.Flb.demotions <= v
-        && stats.Flb.peak_ready <= Width.exact g);
-    qtest ~count:100 "probe counters match run_with_stats and stay O(V)"
-      arb_scheduling_case (fun (p, procs) ->
-        let g = build_dag p in
-        let v = Taskgraph.num_tasks g in
-        let m = Machine.clique ~num_procs:procs in
-        let probe = Flb_obs.Probe.create ~timed:false "FLB" in
-        let _ = Flb.run ~probe g m in
-        let r = Flb_obs.Probe.report probe in
-        let _, stats = Flb.run_with_stats g m in
-        (* the external probe must see exactly what the built-in stats see,
-           and both must respect the paper's O(V) queue-work bound *)
         r.Flb_obs.Probe.iterations = v
-        && r.Flb_obs.Probe.task_queue_ops = stats.Flb.task_queue_ops
-        && r.Flb_obs.Probe.demotions = stats.Flb.demotions
-        && r.Flb_obs.Probe.peak_ready = stats.Flb.peak_ready
         && r.Flb_obs.Probe.task_queue_ops <= 7 * v
+        && r.Flb_obs.Probe.demotions <= v
         && r.Flb_obs.Probe.peak_ready <= Width.exact g);
+    (* Fig. 2 and E7 print FLB's counters from Cost_exp.measure, which
+       also runs FLB for its warm-up and timed runs: the counters it
+       reports must be those of exactly one probed run. *)
+    qtest ~count:50 "cost measurement counts one probed run" arb_scheduling_case
+      (fun (p, procs) ->
+        let g = build_dag p in
+        let m = Machine.clique ~num_procs:procs in
+        let c =
+          Flb_experiments.Cost_exp.measure ~repeats:2 Flb_experiments.Registry.flb g m
+        in
+        let _, r = run_counted g m in
+        let per_task n = float_of_int n /. float_of_int (max 1 (Taskgraph.num_tasks g)) in
+        c.Flb_experiments.Cost_exp.tasks = Taskgraph.num_tasks g
+        && c.Flb_experiments.Cost_exp.task_ops_per_task
+           = per_task r.Flb_obs.Probe.task_queue_ops
+        && c.Flb_experiments.Cost_exp.proc_ops_per_task
+           = per_task r.Flb_obs.Probe.proc_queue_ops
+        && c.Flb_experiments.Cost_exp.peak_ready = r.Flb_obs.Probe.peak_ready);
     qtest ~count:150 "Theorem 3 holds on random DAGs" arb_scheduling_case
       (fun (p, procs) ->
         let g = build_dag p in

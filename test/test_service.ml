@@ -46,7 +46,6 @@ let gen_request =
           map3
             (fun graph algo procs -> Wire.Schedule { graph; algo; procs })
             gen_bytes gen_bytes (int_range 0 1000) );
-        (1, return Wire.Get_metrics);
         (1, return (Wire.Get_stats Wire.Stats_prometheus));
         (1, return (Wire.Get_stats Wire.Stats_json));
         (1, return Wire.Get_load);
@@ -91,7 +90,6 @@ let gen_response =
               Wire.Scheduled { schedule; makespan; speedup; nsl; cache_hit; breakdown })
             gen_bytes (pair gen_float gen_float)
             (pair (pair gen_float bool) gen_breakdown) );
-        (2, map (fun s -> Wire.Metrics_text s) gen_bytes);
         (2, map (fun s -> Wire.Stats_text s) gen_bytes);
         ( 2,
           map
@@ -144,7 +142,6 @@ let gen_response =
 let show_request = function
   | Wire.Schedule { graph; algo; procs } ->
     Printf.sprintf "Schedule{graph=%S; algo=%S; procs=%d}" graph algo procs
-  | Wire.Get_metrics -> "Get_metrics"
   | Wire.Get_stats Wire.Stats_prometheus -> "Get_stats prometheus"
   | Wire.Get_stats Wire.Stats_json -> "Get_stats json"
   | Wire.Get_load -> "Get_load"
@@ -172,7 +169,6 @@ let show_response = function
        qw=%h cache=%h sched=%h exec=%h}"
       schedule makespan speedup nsl cache_hit b.Wire.queue_wait_s b.Wire.cache_s
       b.Wire.sched_s b.Wire.exec_s
-  | Wire.Metrics_text s -> Printf.sprintf "Metrics_text %S" s
   | Wire.Stats_text s -> Printf.sprintf "Stats_text %S" s
   | Wire.Load l ->
     Printf.sprintf "Load{up=%h; pend=%d; entries=%d; hit=%h; sched=%d; conns=%d}"
@@ -289,6 +285,13 @@ let test_wire_malformed () =
         (String.make 1 (Char.chr v) ^ String.sub ping 1 (String.length ping - 1))
   done;
   reject "unknown tag" ~error:"request: unknown request tag 153" (header ^ "\x99");
+  (* tag 2 is retired: Get_stats is the one metrics message, so tag 2 is
+     unknown in both directions *)
+  reject "retired request tag 2" ~error:"request: unknown request tag 2" (header ^ "\x02");
+  (match Wire.decode_response (header ^ "\x02\x00\x00\x00\x00") with
+  | Error msg ->
+    Alcotest.(check string) "retired response tag 2" "response: unknown response tag 2" msg
+  | Ok _ -> Alcotest.fail "accepted retired response tag 2");
   reject "truncated Schedule" ~error:"request: truncated payload: expected graph"
     (header ^ "\x01\x00\x00\x00\x05ab");
   (* a payload that ends inside the 8-byte trace id *)
@@ -645,8 +648,8 @@ let sample text name =
     (String.split_on_char '\n' text)
 
 let test_server_metrics_live () =
-  (* Get_metrics refreshes the snapshot gauges, as Get_stats does: a
-     fresh daemon counts the asking connection and a running clock. *)
+  (* The metrics exposition refreshes the snapshot gauges first: a fresh
+     daemon counts the asking connection and a running clock. *)
   with_server (fun _srv port ->
       with_client port (fun c ->
           match Client.get_metrics c with
