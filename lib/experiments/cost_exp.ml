@@ -4,12 +4,16 @@ open! Flb_platform
 type sample = { seconds : float; bytes : float }
 
 let time ~repeats f =
-  (* The warm-up faults in lazily materialized views, so the timed runs
-     see only steady-state behaviour. *)
+  (* The warm-up faults in one-time state, so the timed runs see only
+     steady-state behaviour. Emptying the minor heap before each run
+     keeps what earlier code left there out of the run's delta: a minor
+     collection inside the run would otherwise fold it into the
+     counter. *)
   let result = f () in
   let best_seconds = ref Float.infinity in
   let best_bytes = ref Float.infinity in
   for _ = 1 to repeats do
+    Gc.minor ();
     let bytes_before = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     ignore (f ());

@@ -12,11 +12,12 @@ open! Flb_platform
     noise, allocation because one delta is not reproducible. On OCaml
     5.1.1 [Gc.allocated_bytes] counts the minor heap's current
     allocation at an eighth until a minor collection folds it in, so a
-    run with a collection inside it reads a lump; the minimum over three
-    or more runs is reproducible, but it undercounts minor-heap
-    allocation (blocks above 256 words are counted in full). This is the
-    only module of the experiments library that reads a clock or the
-    allocation counter.
+    run with a collection inside it reads a lump. Each timed run starts
+    on an empty minor heap, so the lump is the run's own allocation and
+    never what earlier code left behind; the minimum over three or more
+    runs still undercounts minor-heap allocation (blocks above 256 words
+    are counted in full). This is the only module of the experiments
+    library that reads a clock or the allocation counter.
 
     Figure 2's claims are the ordering and the shape in P: ETF far
     costliest and growing steeply with P, MCP growing moderately,
@@ -32,8 +33,9 @@ type sample = {
 
 val time : repeats:int -> (unit -> 'a) -> 'a * sample
 (** [time ~repeats f] calls [f] once to warm up, then [repeats] more
-    times under the clock and the allocation counter. Returns the
-    warm-up's result and the best of the timed runs. *)
+    times under the clock and the allocation counter, each after a
+    [Gc.minor ()] outside the timed window. Returns the warm-up's result
+    and the best of the timed runs. *)
 
 type cell = {
   tasks : int;  (** tasks per graph (the mean, for a {!fig2} cell) *)
