@@ -45,13 +45,11 @@ let run ?(max_dups_per_task = 8) g machine =
      most critical (largest bottom level) first. *)
   let rec ensure t =
     if not (Dup_schedule.has_copy s t) then begin
-      let pending =
-        Array.to_list (Taskgraph.preds g t)
-        |> List.filter_map (fun (u, _) ->
-               if Dup_schedule.has_copy s u then None else Some u)
-        |> List.sort (fun a b -> compare (-.blevel.(a), a) (-.blevel.(b), b))
-      in
-      List.iter ensure pending;
+      let pending = ref [] in
+      Taskgraph.iter_preds g t (fun u _ ->
+          if not (Dup_schedule.has_copy s u) then pending := u :: !pending);
+      List.iter ensure
+        (List.sort (fun a b -> compare (-.blevel.(a), a) (-.blevel.(b), b)) !pending);
       place_best t
     end
   in

@@ -27,9 +27,8 @@ let run ?(max_dups_per_task = 8) g machine =
           (fun (u, du_start) -> ignore (Dup_schedule.place s u ~proc:p ~start:du_start))
           dups;
         ignore (Dup_schedule.place s t ~proc:p ~start));
-      Array.iter
-        (fun (succ, _) -> if Dup_schedule.is_ready s succ then enqueue succ)
-        (Taskgraph.succs g t);
+      Taskgraph.iter_succs g t (fun succ _ ->
+          if Dup_schedule.is_ready s succ then enqueue succ);
       loop ()
     end
   in

@@ -14,33 +14,32 @@ let evaluate s g t p ~max_dups =
   let cursor = ref (Dup_schedule.prt s p) in
   let dups = ref [] in
   let budget = ref max_dups in
-  let arrival (u, w) =
+  let arrival u w =
     let global = Dup_schedule.pred_arrival s ~src:u ~proc:p ~comm:w in
     match Hashtbl.find_opt local u with
     | Some f -> Float.min global f
     | None -> global
   in
   let data_ready_of task =
-    Array.fold_left (fun acc e -> Float.max acc (arrival e)) 0.0 (Taskgraph.preds g task)
+    let ready = ref 0.0 in
+    Taskgraph.iter_preds g task (fun u w -> ready := Float.max !ready (arrival u w));
+    !ready
   in
   let baseline = Float.max !cursor (data_ready_of t) in
   (* The predecessor whose message dominates [task]'s data-ready time and
      that duplication could still help (not yet local to p). *)
   let critical_remote task =
-    let best =
-      Array.fold_left
-        (fun best e ->
-          match best with
-          | Some be when arrival be >= arrival e -> best
-          | _ -> Some e)
-        None (Taskgraph.preds g task)
-    in
-    match best with
-    | Some (u, _)
-      when (not (Hashtbl.mem local u)) && not (Dup_schedule.has_copy_on s u ~proc:p)
-      ->
-      Some u
-    | Some _ | None -> None
+    let best = ref (-1) and best_arrival = ref 0.0 in
+    Taskgraph.iter_preds g task (fun u w ->
+        let a = arrival u w in
+        if !best < 0 || a > !best_arrival then begin
+          best := u;
+          best_arrival := a
+        end);
+    let u = !best in
+    if u >= 0 && (not (Hashtbl.mem local u)) && not (Dup_schedule.has_copy_on s u ~proc:p)
+    then Some u
+    else None
   in
   (* Recursively recompute [u] on p: first shrink u's own data-ready time
      by duplicating its critical ancestors, then append u's copy. *)

@@ -46,7 +46,10 @@ let has_copy s t =
 let is_ready s t =
   check_task s t "is_ready";
   (not (has_copy s t))
-  && Array.for_all (fun (u, _) -> has_copy s u) (Taskgraph.preds s.graph t)
+  &&
+  let ready = ref true in
+  Taskgraph.iter_preds s.graph t (fun u _ -> if not (has_copy s u) then ready := false);
+  !ready
 
 let prt s p =
   check_proc s p "prt";
@@ -63,14 +66,14 @@ let best_arrival s u ~proc:p w =
 let data_ready s t ~proc:p =
   check_task s t "data_ready";
   check_proc s p "data_ready";
-  Array.fold_left
-    (fun acc (u, w) ->
+  let ready = ref 0.0 in
+  Taskgraph.iter_preds s.graph t (fun u w ->
       let arrival = best_arrival s u ~proc:p w in
       if arrival = infinity then
         invalid_arg
           (Printf.sprintf "Dup_schedule.data_ready: predecessor %d of %d unplaced" u t);
-      Float.max acc arrival)
-    0.0 (Taskgraph.preds s.graph t)
+      ready := Float.max !ready arrival);
+  !ready
 
 let pred_arrival s ~src ~proc:p ~comm =
   check_task s src "pred_arrival";
@@ -86,13 +89,11 @@ let critical_pred s t ~proc:p =
   check_task s t "critical_pred";
   check_proc s p "critical_pred";
   let best = ref None in
-  Array.iter
-    (fun (u, w) ->
+  Taskgraph.iter_preds s.graph t (fun u w ->
       let arrival = best_arrival s u ~proc:p w in
       match !best with
       | Some (_, a) when a >= arrival -> ()
-      | _ -> best := Some (u, arrival))
-    (Taskgraph.preds s.graph t);
+      | _ -> best := Some (u, arrival));
   match !best with
   | Some (u, arrival) when arrival > 0.0 -> Some u
   | Some _ | None -> None
@@ -105,12 +106,10 @@ let place s t ~proc:p ~start =
   if Vec.exists (fun (c : copy) -> c.proc = p) s.by_task.(t) then
     invalid_arg
       (Printf.sprintf "Dup_schedule.place: task %d already has a copy on %d" t p);
-  Array.iter
-    (fun (u, _) ->
+  Taskgraph.iter_preds s.graph t (fun u _ ->
       if not (has_copy s u) then
         invalid_arg
-          (Printf.sprintf "Dup_schedule.place: predecessor %d of %d unplaced" u t))
-    (Taskgraph.preds s.graph t);
+          (Printf.sprintf "Dup_schedule.place: predecessor %d of %d unplaced" u t));
   let c = { task = t; proc = p; start; finish = start +. Taskgraph.comp s.graph t } in
   Vec.push s.by_task.(t) c;
   Vec.push s.by_proc.(p) c;
@@ -149,11 +148,9 @@ let validate s =
     for t = 0 to n - 1 do
       Vec.iter
         (fun (c : copy) ->
-          Array.iter
-            (fun (u, w) ->
+          Taskgraph.iter_preds s.graph t (fun u w ->
               if best_arrival s u ~proc:c.proc w > c.start +. 1e-9 then
-                err "copy of %d on %d starts before %d's data arrives" t c.proc u)
-            (Taskgraph.preds s.graph t))
+                err "copy of %d on %d starts before %d's data arrives" t c.proc u))
         s.by_task.(t)
     done
   end;

@@ -14,11 +14,9 @@ let est_comp_only g =
   let est = Array.make n 0.0 in
   Array.iter
     (fun t ->
-      Array.iter
-        (fun (s, _) ->
+      Taskgraph.iter_succs g t (fun s _ ->
           let v = est.(t) +. Taskgraph.comp g t in
-          if v > est.(s) then est.(s) <- v)
-        (Taskgraph.succs g t))
+          if v > est.(s) then est.(s) <- v))
     (Topo.order g);
   est
 

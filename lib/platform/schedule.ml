@@ -16,7 +16,7 @@ type t = {
   mutable num_scheduled : int;
   (* CSR adjacency of [graph], cached so the per-assignment edge sweeps
      and the timing quantities (LMT/EMT/EP) stream flat arrays without
-     touching the tuple-array view. *)
+     a call per edge. *)
   succ_off : int array;
   succ_id : int array;
   pred_off : int array;

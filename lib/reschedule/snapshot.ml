@@ -58,16 +58,7 @@ let make ?(dead = []) ?(ready = []) ?(frozen = []) graph machine =
     frozen;
   { graph; machine; frozen = Array.of_list frozen; ready = floors; dead = dead_mask }
 
-let executed_mask s =
-  let mask = Array.make (Taskgraph.num_tasks s.graph) false in
-  Array.iter (fun f -> mask.(f.task) <- true) s.frozen;
-  mask
-
 let frontier_size s = Taskgraph.num_tasks s.graph - Array.length s.frozen
-
-let frontier s =
-  let mask = executed_mask s in
-  Transform.restrict s.graph ~keep:(fun t -> not mask.(t))
 
 let seed s =
   let sched = Schedule.create s.graph s.machine in

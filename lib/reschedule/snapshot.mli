@@ -47,13 +47,9 @@ val make :
     the frozen set is not closed under predecessors. *)
 
 val frontier_size : t -> int
-(** Number of unexecuted tasks. *)
-
-val frontier : t -> Taskgraph.t * int array * int array
-(** The unexecuted frontier as a standalone sub-DAG (via
-    {!Transform.restrict}): [(sub, old_of_new, new_of_old)]. Exposed for
-    analysis; {!Reschedule.run} itself keeps original task ids by
-    seeding the full graph with the prefix pinned, which preserves
+(** Number of unexecuted tasks. The frontier is never extracted as a
+    sub-DAG: {!Reschedule.run} keeps original task ids by seeding the
+    full graph with the prefix pinned ({!seed}), which preserves
     cross-frontier message times exactly. *)
 
 val seed : t -> Schedule.t

@@ -11,6 +11,11 @@ type clustering = {
 let cluster g =
   let n = Taskgraph.num_tasks g in
   let blevel = Levels.blevel g in
+  let pred_off = Taskgraph.Csr.pred_offsets g in
+  let pred_id = Taskgraph.Csr.pred_sources g in
+  let pred_w = Taskgraph.Csr.pred_weights g in
+  let succ_off = Taskgraph.Csr.succ_offsets g in
+  let succ_id = Taskgraph.Csr.succ_targets g in
   let cluster_of = Array.make n (-1) in
   let tlevel = Array.make n 0.0 in
   let sequences : Taskgraph.task Vec.t Vec.t = Vec.create () in
@@ -32,14 +37,16 @@ let cluster g =
   (* Free tasks (all predecessors examined), max tlevel + blevel first. *)
   let free = Flat_heap.create ~universe:n in
   let unexamined_preds = Array.init n (Taskgraph.in_degree g) in
-  (* Arrival of a predecessor's data when the edge is kept (full cost). *)
-  let arrival (p, w) = tlevel.(p) +. Taskgraph.comp g p +. w in
+  (* A free task's tlevel: the last arrival of its predecessors' data
+     with every edge kept (full cost). *)
   let make_free t =
-    let tl =
-      Array.fold_left (fun acc e -> Float.max acc (arrival e)) 0.0 (Taskgraph.preds g t)
-    in
-    tlevel.(t) <- tl;
-    Flat_heap.add free ~elt:t ~primary:(-.(tl +. blevel.(t)))
+    let tl = ref 0.0 in
+    for i = pred_off.(t) to pred_off.(t + 1) - 1 do
+      let p = pred_id.(i) in
+      tl := Float.max !tl (tlevel.(p) +. Taskgraph.comp g p +. pred_w.(i))
+    done;
+    tlevel.(t) <- !tl;
+    Flat_heap.add free ~elt:t ~primary:(-.(!tl +. blevel.(t)))
       ~secondary:(float_of_int t)
   in
   for t = 0 to n - 1 do
@@ -48,38 +55,37 @@ let cluster g =
   let rec loop () =
     let t = Flat_heap.pop free in
     if t >= 0 then begin
-      let preds = Taskgraph.preds g t in
       let tl_own = tlevel.(t) in
-      (* Dominant predecessor: the one whose message arrives last. *)
-      let dominant =
-        Array.fold_left
-          (fun best e ->
-            match best with
-            | Some b when arrival b >= arrival e -> best
-            | _ -> Some e)
-          None preds
-      in
-      (match dominant with
-      | None -> ignore (new_cluster t 0.0)
-      | Some (dp, _) ->
-        let c = cluster_of.(dp) in
-        let merged_start =
-          Array.fold_left
-            (fun acc (p, w) ->
-              let pay = if cluster_of.(p) = c then 0.0 else w in
-              Float.max acc (tlevel.(p) +. Taskgraph.comp g p +. pay))
-            (Vec.get cluster_ready c) preds
-        in
-        if merged_start <= tl_own then begin
-          tlevel.(t) <- merged_start;
-          append_to_cluster t c merged_start
+      (* Dominant predecessor: the first whose message arrives last. *)
+      let dominant = ref (-1) and dominant_arrival = ref 0.0 in
+      for i = pred_off.(t) to pred_off.(t + 1) - 1 do
+        let p = pred_id.(i) in
+        let arrival = tlevel.(p) +. Taskgraph.comp g p +. pred_w.(i) in
+        if !dominant < 0 || arrival > !dominant_arrival then begin
+          dominant := p;
+          dominant_arrival := arrival
         end
-        else ignore (new_cluster t tl_own));
-      Array.iter
-        (fun (s, _) ->
-          unexamined_preds.(s) <- unexamined_preds.(s) - 1;
-          if unexamined_preds.(s) = 0 then make_free s)
-        (Taskgraph.succs g t);
+      done;
+      if !dominant < 0 then ignore (new_cluster t 0.0)
+      else begin
+        let c = cluster_of.(!dominant) in
+        let merged_start = ref (Vec.get cluster_ready c) in
+        for i = pred_off.(t) to pred_off.(t + 1) - 1 do
+          let p = pred_id.(i) in
+          let pay = if cluster_of.(p) = c then 0.0 else pred_w.(i) in
+          merged_start := Float.max !merged_start (tlevel.(p) +. Taskgraph.comp g p +. pay)
+        done;
+        if !merged_start <= tl_own then begin
+          tlevel.(t) <- !merged_start;
+          append_to_cluster t c !merged_start
+        end
+        else ignore (new_cluster t tl_own)
+      end;
+      for i = succ_off.(t) to succ_off.(t + 1) - 1 do
+        let s = succ_id.(i) in
+        unexamined_preds.(s) <- unexamined_preds.(s) - 1;
+        if unexamined_preds.(s) = 0 then make_free s
+      done;
       loop ()
     end
   in

@@ -14,12 +14,10 @@ let descendant_ranks g alap =
   let topo = Topo.order g in
   for i = n - 1 downto 0 do
     let t = topo.(i) in
-    let merged =
-      Array.fold_left
-        (fun acc (s, _) -> List.merge Float.compare lists.(s) acc)
-        [] (Taskgraph.succs g t)
-    in
-    lists.(t) <- List.merge Float.compare [ alap.(t) ] merged
+    let merged = ref [] in
+    Taskgraph.iter_succs g t (fun s _ ->
+        merged := List.merge Float.compare lists.(s) !merged);
+    lists.(t) <- List.merge Float.compare [ alap.(t) ] !merged
   done;
   let order = Array.init n Fun.id in
   Array.sort (fun a b -> List.compare Float.compare lists.(a) lists.(b)) order;

@@ -12,14 +12,11 @@ let start_times g ~cluster_of =
     (fun t ->
       let c = cluster_of t in
       let cluster_ready = Option.value ~default:0.0 (Hashtbl.find_opt ready c) in
-      let data =
-        Array.fold_left
-          (fun acc (u, w) ->
-            let pay = if cluster_of u = c then 0.0 else w in
-            Float.max acc (st.(u) +. Taskgraph.comp g u +. pay))
-          0.0 (Taskgraph.preds g t)
-      in
-      st.(t) <- Float.max cluster_ready data;
+      let data = ref 0.0 in
+      Taskgraph.iter_preds g t (fun u w ->
+          let pay = if cluster_of u = c then 0.0 else w in
+          data := Float.max !data (st.(u) +. Taskgraph.comp g u +. pay));
+      st.(t) <- Float.max cluster_ready !data;
       Hashtbl.replace ready c (st.(t) +. Taskgraph.comp g t))
     (Topo.order g);
   st

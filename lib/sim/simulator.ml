@@ -107,8 +107,7 @@ let replay_placement ?send_ports ?(tracer = Trace.null) ?metrics g machine ~proc
         if Trace.enabled tracer then
           Trace.add_span tracer ~track:(proc_track pr)
             ~name:(Printf.sprintf "task %d" t) ~ts:start.(t) ~dur:(now -. start.(t));
-        Array.iter
-          (fun (succ, w) ->
+        Taskgraph.iter_succs g t (fun succ w ->
             let dst_proc = proc_of succ in
             let latency = Machine.comm_time machine ~src:pr ~dst:dst_proc ~cost:w in
             if latency = 0.0 then begin
@@ -133,8 +132,7 @@ let replay_placement ?send_ports ?(tracer = Trace.null) ?metrics g machine ~proc
                       ("arrival", sent +. latency);
                     ];
               Event_queue.add events ~time:(sent +. latency) (Message_arrived succ)
-            end)
-          (Taskgraph.succs g t);
+            end);
         try_dispatch now pr
       | Message_arrived t ->
         pending_msgs.(t) <- pending_msgs.(t) - 1;

@@ -231,15 +231,8 @@ let run_round t g ~at =
       let frozen = ref [] in
       List.iter
         (fun s ->
-          let off = Taskgraph.Builder.num_tasks b in
+          let off = Stream_graph.append_to s.sgraph b in
           Hashtbl.add offsets s.id off;
-          for i = 0 to Stream_graph.num_tasks s.sgraph - 1 do
-            ignore
-              (Taskgraph.Builder.add_task b ~comp:(Stream_graph.comp s.sgraph i))
-          done;
-          Stream_graph.iter_edges s.sgraph (fun src dst comm ->
-              Taskgraph.Builder.add_edge b ~src:(off + src) ~dst:(off + dst)
-                ~comm);
           Hashtbl.iter
             (fun local p ->
               frozen :=

@@ -19,192 +19,76 @@ let error_to_string = function
   | Cyclic t -> Printf.sprintf "edge set is cyclic (through task %d)" t
   | Sealed -> "stream is sealed"
 
-(* Tasks and edges live in doubling arrays so a batch append touches no
-   existing element; [edge_index] provides O(1) duplicate detection. *)
+(* The tasks and edges live in a [Taskgraph.Builder], the one store that
+   duplicate-checks and cycle-checks a graph. This module adds what the
+   trust boundary needs on top: structured errors instead of
+   exceptions, the dispatch marks and the seal. *)
 type t = {
-  mutable comps : float array;
-  mutable n_tasks : int;
-  mutable srcs : int array;
-  mutable dsts : int array;
-  mutable comms : float array;
-  mutable n_edges : int;
-  edge_index : (int * int, unit) Hashtbl.t;
-  mutable dispatched : Bytes.t; (* one byte per task; grows with comps *)
+  graph : Taskgraph.Builder.t;
+  mutable dispatched : Bytes.t; (* one byte per task; grows with the tasks *)
   mutable n_dispatched : int;
   mutable is_sealed : bool;
 }
 
 let create ?(expected_tasks = 16) () =
-  let cap = max expected_tasks 1 in
   {
-    comps = Array.make cap 0.0;
-    n_tasks = 0;
-    srcs = Array.make cap 0;
-    dsts = Array.make cap 0;
-    comms = Array.make cap 0.0;
-    n_edges = 0;
-    edge_index = Hashtbl.create 64;
-    dispatched = Bytes.make cap '\000';
+    graph = Taskgraph.Builder.create ~expected_tasks ();
+    dispatched = Bytes.make (max expected_tasks 1) '\000';
     n_dispatched = 0;
     is_sealed = false;
   }
 
-let num_tasks t = t.n_tasks
-
-let num_edges t = t.n_edges
+let num_tasks t = Taskgraph.Builder.num_tasks t.graph
 
 let sealed t = t.is_sealed
 
-let comp t i =
-  if i < 0 || i >= t.n_tasks then invalid_arg "Stream_graph.comp: bad task";
-  t.comps.(i)
-
-let grow_float a used need =
-  if used + need <= Array.length a then a
-  else begin
-    let cap = max (2 * Array.length a) (used + need) in
-    let a' = Array.make cap 0.0 in
-    Array.blit a 0 a' 0 used;
-    a'
-  end
-
-let grow_int a used need =
-  if used + need <= Array.length a then a
-  else begin
-    let cap = max (2 * Array.length a) (used + need) in
-    let a' = Array.make cap 0 in
-    Array.blit a 0 a' 0 used;
-    a'
-  end
-
-let grow_bytes b used need =
-  if used + need <= Bytes.length b then b
-  else begin
-    let cap = max (2 * Bytes.length b) (used + need) in
-    let b' = Bytes.make cap '\000' in
-    Bytes.blit b 0 b' 0 used;
-    b'
-  end
+let bad_weight w = w < 0.0 || not (Float.is_finite w)
 
 let add_tasks t ~comps =
   if t.is_sealed then Error Sealed
   else
-    match
-      Array.fold_left
-        (fun acc c ->
-          match acc with
-          | Some _ -> acc
-          | None -> if c < 0.0 || not (Float.is_finite c) then Some c else None)
-        None comps
-    with
+    match Array.find_opt bad_weight comps with
     | Some bad -> Error (Bad_weight bad)
     | None ->
-      let first = t.n_tasks in
-      let n = Array.length comps in
-      t.comps <- grow_float t.comps t.n_tasks n;
-      t.dispatched <- grow_bytes t.dispatched t.n_tasks n;
-      Array.blit comps 0 t.comps t.n_tasks n;
-      Bytes.fill t.dispatched t.n_tasks n '\000';
-      t.n_tasks <- t.n_tasks + n;
+      let first = num_tasks t in
+      let need = first + Array.length comps in
+      if need > Bytes.length t.dispatched then begin
+        let marks = Bytes.make (max need (2 * Bytes.length t.dispatched)) '\000' in
+        Bytes.blit t.dispatched 0 marks 0 first;
+        t.dispatched <- marks
+      end;
+      Array.iter (fun comp -> ignore (Taskgraph.Builder.add_task t.graph ~comp)) comps;
       Ok first
 
-let is_dispatched t i = i >= 0 && i < t.n_tasks && Bytes.get t.dispatched i <> '\000'
+let is_dispatched t i =
+  i >= 0 && i < num_tasks t && Bytes.get t.dispatched i <> '\000'
 
 let mark_dispatched t i =
-  if i < 0 || i >= t.n_tasks then
+  if i < 0 || i >= num_tasks t then
     invalid_arg "Stream_graph.mark_dispatched: bad task";
   if Bytes.get t.dispatched i = '\000' then begin
     Bytes.set t.dispatched i '\001';
     t.n_dispatched <- t.n_dispatched + 1
   end
 
-let num_dispatched t = t.n_dispatched
-
-let pending t = t.n_tasks - t.n_dispatched
+let pending t = num_tasks t - t.n_dispatched
 
 let add_edge t ~src ~dst ~comm =
+  let n = num_tasks t in
   if t.is_sealed then Error Sealed
-  else if src < 0 || src >= t.n_tasks then Error (Unknown_task src)
-  else if dst < 0 || dst >= t.n_tasks then Error (Unknown_task dst)
+  else if src < 0 || src >= n then Error (Unknown_task src)
+  else if dst < 0 || dst >= n then Error (Unknown_task dst)
   else if src = dst then Error (Self_edge src)
-  else if comm < 0.0 || not (Float.is_finite comm) then Error (Bad_weight comm)
-  else if Hashtbl.mem t.edge_index (src, dst) then Error (Duplicate_edge (src, dst))
+  else if bad_weight comm then Error (Bad_weight comm)
+  else if Taskgraph.Builder.mem_edge t.graph ~src ~dst then
+    Error (Duplicate_edge (src, dst))
   else if is_dispatched t dst then Error (Edge_into_dispatched dst)
-  else begin
-    t.srcs <- grow_int t.srcs t.n_edges 1;
-    t.dsts <- grow_int t.dsts t.n_edges 1;
-    t.comms <- grow_float t.comms t.n_edges 1;
-    t.srcs.(t.n_edges) <- src;
-    t.dsts.(t.n_edges) <- dst;
-    t.comms.(t.n_edges) <- comm;
-    t.n_edges <- t.n_edges + 1;
-    Hashtbl.add t.edge_index (src, dst) ();
-    Ok ()
-  end
+  else Ok (Taskgraph.Builder.add_edge t.graph ~src ~dst ~comm)
 
-let iter_edges t f =
-  for e = 0 to t.n_edges - 1 do
-    f t.srcs.(e) t.dsts.(e) t.comms.(e)
-  done
-
-(* Kahn's algorithm; on a cycle, reports one task left with unconsumed
-   incoming edges. *)
 let check_acyclic t =
-  let n = t.n_tasks in
-  let indeg = Array.make n 0 in
-  for e = 0 to t.n_edges - 1 do
-    indeg.(t.dsts.(e)) <- indeg.(t.dsts.(e)) + 1
-  done;
-  (* CSR of successors, built locally so the check is O(V + E). *)
-  let off = Array.make (n + 1) 0 in
-  for e = 0 to t.n_edges - 1 do
-    off.(t.srcs.(e) + 1) <- off.(t.srcs.(e) + 1) + 1
-  done;
-  for i = 1 to n do
-    off.(i) <- off.(i) + off.(i - 1)
-  done;
-  let fill = Array.copy off in
-  let targets = Array.make t.n_edges 0 in
-  for e = 0 to t.n_edges - 1 do
-    let s = t.srcs.(e) in
-    targets.(fill.(s)) <- t.dsts.(e);
-    fill.(s) <- fill.(s) + 1
-  done;
-  let queue = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then begin
-      queue.(!tail) <- i;
-      incr tail
-    end
-  done;
-  let seen = ref 0 in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    incr seen;
-    for k = off.(u) to off.(u + 1) - 1 do
-      let v = targets.(k) in
-      indeg.(v) <- indeg.(v) - 1;
-      if indeg.(v) = 0 then begin
-        queue.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  if !seen = n then Ok ()
-  else begin
-    let witness = ref 0 in
-    (try
-       for i = 0 to n - 1 do
-         if indeg.(i) > 0 then begin
-           witness := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    Error (Cyclic !witness)
-  end
+  match Taskgraph.Builder.find_cycle t.graph with
+  | None -> Ok ()
+  | Some task -> Error (Cyclic task)
 
 let seal t =
   if t.is_sealed then Ok ()
@@ -215,16 +99,4 @@ let seal t =
       Ok ()
     | Error _ as e -> e
 
-let snapshot t =
-  let b = Taskgraph.Builder.create ~expected_tasks:t.n_tasks () in
-  for i = 0 to t.n_tasks - 1 do
-    ignore (Taskgraph.Builder.add_task b ~comp:t.comps.(i))
-  done;
-  for e = 0 to t.n_edges - 1 do
-    Taskgraph.Builder.add_edge b ~src:t.srcs.(e) ~dst:t.dsts.(e)
-      ~comm:t.comms.(e)
-  done;
-  Taskgraph.Builder.build b
-
-let frontier t =
-  Transform.restrict (snapshot t) ~keep:(fun i -> not (is_dispatched t i))
+let append_to t b = Taskgraph.Builder.append b ~from:t.graph

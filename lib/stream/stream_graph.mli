@@ -4,9 +4,9 @@ open! Flb_taskgraph
 
     Clients discover work as they go: tasks and edges arrive in batches
     and the scheduler dispatches a rolling frontier between batches, so
-    — unlike {!Taskgraph.Builder} — this builder must accept appends
-    {e after} parts of the graph have already been placed, and must
-    answer bad input with structured errors instead of exceptions (the
+    this builder must accept appends {e after} parts of the graph have
+    already been placed, and must answer bad input with structured
+    errors instead of the exceptions {!Taskgraph.Builder} raises (the
     input crossed a trust boundary).
 
     The one irreversible transition is {e dispatch}: once the scheduling
@@ -17,9 +17,13 @@ open! Flb_taskgraph
     dispatched task are fine: that is exactly the cross-frontier
     dependence the rolling schedule exists to honour.
 
-    Appends are amortized O(1) (doubling arrays); {!snapshot} rebuilds a
-    CSR {!Taskgraph.t} in O(V + E) so each scheduling round reuses the
-    allocation-free scheduler hot paths unchanged. *)
+    The tasks and edges are stored in a {!Taskgraph.Builder}, the one
+    store that checks every graph in the library for duplicate edges
+    and cycles; this module turns its checks into structured errors and
+    adds the dispatch marks and the seal. Each scheduling round merges its
+    streams into one builder with {!append_to} and builds one CSR
+    {!Taskgraph.t}, so the round reuses the allocation-free scheduler hot
+    paths unchanged. *)
 
 type t
 
@@ -52,35 +56,22 @@ val seal : t -> (unit, error) result
 val sealed : t -> bool
 
 val check_acyclic : t -> (unit, error) result
-(** Kahn's algorithm over the current edge set. The scheduling loop
-    calls this before every round: {!Taskgraph.Builder.build} raises on
-    cycles, and a raise mid-round would take down every stream merged
-    into the same super-DAG, so a cyclic stream must be detected and
-    excluded first. *)
+(** {!Taskgraph.Builder.find_cycle} over the current edge set. The
+    scheduling loop calls this before every round: {!Taskgraph.Builder.build}
+    raises on cycles, and a raise mid-round would take down every stream
+    merged into the same super-DAG, so a cyclic stream must be detected
+    and excluded first. *)
 
 val num_tasks : t -> int
-
-val num_edges : t -> int
-
-val comp : t -> int -> float
 
 val mark_dispatched : t -> int -> unit
 
 val is_dispatched : t -> int -> bool
 
-val num_dispatched : t -> int
-
 val pending : t -> int
 (** Tasks added but not yet dispatched. *)
 
-val snapshot : t -> Taskgraph.t
-(** The current graph as an immutable CSR {!Taskgraph.t} (task ids are
-    preserved). @raise Invalid_argument on a cyclic edge set — call
-    {!check_acyclic} first. *)
-
-val frontier : t -> Taskgraph.t * int array * int array
-(** The undispatched frontier as a standalone sub-DAG via
-    {!Transform.restrict}: [(sub, old_of_new, new_of_old)]. *)
-
-val iter_edges : t -> (int -> int -> float -> unit) -> unit
-(** Visits every edge in insertion order. *)
+val append_to : t -> Taskgraph.Builder.t -> int
+(** [append_to s b] adds [s]'s tasks to [b], then its edges in insertion
+    order ({!Taskgraph.Builder.append}), and returns the id of [s]'s task
+    0 in [b]. *)

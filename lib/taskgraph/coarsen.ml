@@ -48,11 +48,12 @@ let merge_chains ?(max_grain = infinity) g =
   let parent = Array.init n Fun.id in
   let rec find x = if parent.(x) = x then x else (parent.(x) <- find parent.(x); parent.(x)) in
   let grain = Array.init n (Taskgraph.comp g) in
+  let succ_off = Taskgraph.Csr.succ_offsets g and succ_id = Taskgraph.Csr.succ_targets g in
   (* Walk in topological order so each chain accumulates front to back. *)
   Array.iter
     (fun u ->
       if Taskgraph.out_degree g u = 1 then begin
-        let v, _ = (Taskgraph.succs g u).(0) in
+        let v = succ_id.(succ_off.(u)) in
         if Taskgraph.in_degree g v = 1 then begin
           let ru = find u and rv = find v in
           if ru <> rv && grain.(ru) +. grain.(rv) <= max_grain then begin

@@ -57,19 +57,16 @@ let critical_path g =
     for t = n - 1 downto 0 do
       if Taskgraph.is_entry g t && b.(t) >= b.(!start) then start := t
     done;
+    (* The successor with the longest remaining path; the first on a tie. *)
     let rec walk t acc =
-      let next =
-        Array.fold_left
-          (fun best (s, w) ->
-            let len = w +. b.(s) in
-            match best with
-            | Some (_, best_len) when best_len >= len -> best
-            | _ -> Some (s, len))
-          None (Taskgraph.succs g t)
-      in
-      match next with
-      | None -> List.rev (t :: acc)
-      | Some (s, _) -> walk s (t :: acc)
+      let next = ref (-1) and next_len = ref 0.0 in
+      Taskgraph.iter_succs g t (fun s w ->
+          let len = w +. b.(s) in
+          if !next < 0 || len > !next_len then begin
+            next := s;
+            next_len := len
+          end);
+      if !next < 0 then List.rev (t :: acc) else walk !next (t :: acc)
     in
     walk !start []
   end

@@ -9,9 +9,8 @@ let intervals g =
   Array.iter
     (fun t ->
       finish.(t) <- enable.(t) +. Taskgraph.comp g t;
-      Array.iter
-        (fun (s, _) -> if finish.(t) > enable.(s) then enable.(s) <- finish.(t))
-        (Taskgraph.succs g t))
+      Taskgraph.iter_succs g t (fun s _ ->
+          if finish.(t) > enable.(s) then enable.(s) <- finish.(t)))
     (Topo.order g);
   (enable, finish)
 

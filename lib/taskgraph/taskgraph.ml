@@ -3,9 +3,7 @@ type task = int
 (* Edges live in compressed-sparse-row form: for each direction, a flat
    id array and a parallel weight array, indexed by an offset array of
    length [n + 1]. The O(E) sweeps of every scheduler stream these flat
-   arrays instead of chasing per-task tuple arrays. The historical
-   [(task * float) array array] adjacency is kept as a lazily
-   materialized view for cold callers. *)
+   arrays. *)
 type t = {
   comp : float array;
   succ_off : int array; (* length n+1 *)
@@ -14,8 +12,6 @@ type t = {
   pred_off : int array;
   pred_id : int array; (* grouped by destination, insertion order *)
   pred_w : float array;
-  mutable succ_view : (task * float) array array option;
-  mutable pred_view : (task * float) array array option;
 }
 
 let num_tasks g = Array.length g.comp
@@ -37,36 +33,6 @@ let out_degree g t =
 let in_degree g t =
   check_task g t "in_degree";
   g.pred_off.(t + 1) - g.pred_off.(t)
-
-let materialize_view off id w =
-  let n = Array.length off - 1 in
-  Array.init n (fun t ->
-      Array.init (off.(t + 1) - off.(t)) (fun i ->
-          (id.(off.(t) + i), w.(off.(t) + i))))
-
-let succs g t =
-  check_task g t "succs";
-  let view =
-    match g.succ_view with
-    | Some v -> v
-    | None ->
-      let v = materialize_view g.succ_off g.succ_id g.succ_w in
-      g.succ_view <- Some v;
-      v
-  in
-  view.(t)
-
-let preds g t =
-  check_task g t "preds";
-  let view =
-    match g.pred_view with
-    | Some v -> v
-    | None ->
-      let v = materialize_view g.pred_off g.pred_id g.pred_w in
-      g.pred_view <- Some v;
-      v
-  in
-  view.(t)
 
 let iter_succs g t f =
   check_task g t "iter_succs";
@@ -199,20 +165,12 @@ module Builder = struct
   let rec has_edge_to b e dst =
     e >= 0 && (b.dst.(e) = dst || has_edge_to b b.prev_out.(e) dst)
 
-  let add_edge b ~src ~dst ~comm =
-    check_alive b "add_edge";
-    check_weight comm "communication cost" "add_edge";
-    let n = num_tasks b in
-    if src < 0 || src >= n then
-      invalid_arg (Printf.sprintf "Taskgraph.Builder.add_edge: unknown source %d" src);
-    if dst < 0 || dst >= n then
-      invalid_arg
-        (Printf.sprintf "Taskgraph.Builder.add_edge: unknown destination %d" dst);
-    if src = dst then
-      invalid_arg (Printf.sprintf "Taskgraph.Builder.add_edge: self edge on %d" src);
-    if has_edge_to b b.last_out.(src) dst then
-      invalid_arg
-        (Printf.sprintf "Taskgraph.Builder.add_edge: duplicate edge %d -> %d" src dst);
+  let mem_edge b ~src ~dst =
+    src >= 0 && src < b.num_tasks && has_edge_to b b.last_out.(src) dst
+
+  (* Stores an edge that has passed every check and chains it to its
+     source's newest out-edge. *)
+  let push_edge b ~src ~dst ~comm =
     let e = b.num_edges in
     if e = Array.length b.src then begin
       b.src <- grow b.src e 0;
@@ -226,6 +184,79 @@ module Builder = struct
     b.prev_out.(e) <- b.last_out.(src);
     b.last_out.(src) <- e;
     b.num_edges <- e + 1
+
+  let add_edge b ~src ~dst ~comm =
+    check_alive b "add_edge";
+    check_weight comm "communication cost" "add_edge";
+    let n = num_tasks b in
+    if src < 0 || src >= n then
+      invalid_arg (Printf.sprintf "Taskgraph.Builder.add_edge: unknown source %d" src);
+    if dst < 0 || dst >= n then
+      invalid_arg
+        (Printf.sprintf "Taskgraph.Builder.add_edge: unknown destination %d" dst);
+    if src = dst then
+      invalid_arg (Printf.sprintf "Taskgraph.Builder.add_edge: self edge on %d" src);
+    if mem_edge b ~src ~dst then
+      invalid_arg
+        (Printf.sprintf "Taskgraph.Builder.add_edge: duplicate edge %d -> %d" src dst);
+    push_edge b ~src ~dst ~comm
+
+  (* [from]'s edges were checked when they were added, and shifted they
+     join only the tasks appended with them, so none can duplicate an
+     edge already in [b]. *)
+  let append b ~from =
+    check_alive b "append";
+    let off = b.num_tasks in
+    for t = 0 to from.num_tasks - 1 do
+      ignore (add_task b ~comp:from.comps.(t))
+    done;
+    for e = 0 to from.num_edges - 1 do
+      push_edge b ~src:(off + from.src.(e)) ~dst:(off + from.dst.(e))
+        ~comm:from.weight.(e)
+    done;
+    off
+
+  (* Kahn's algorithm over the forward star. The tasks it cannot consume
+     are exactly those on or downstream of a cycle, whatever order it
+     consumes the rest in, so the lowest of them is a deterministic
+     witness. Each task enters the FIFO at most once, so it is a plain
+     array. *)
+  let find_cycle b =
+    let n = b.num_tasks in
+    let indeg = Array.make n 0 in
+    for e = 0 to b.num_edges - 1 do
+      indeg.(b.dst.(e)) <- indeg.(b.dst.(e)) + 1
+    done;
+    let queue = Array.make n 0 and tail = ref 0 in
+    for t = 0 to n - 1 do
+      if indeg.(t) = 0 then begin
+        queue.(!tail) <- t;
+        incr tail
+      end
+    done;
+    let head = ref 0 in
+    while !head < !tail do
+      let t = queue.(!head) in
+      incr head;
+      let e = ref b.last_out.(t) in
+      while !e >= 0 do
+        let s = b.dst.(!e) in
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then begin
+          queue.(!tail) <- s;
+          incr tail
+        end;
+        e := b.prev_out.(!e)
+      done
+    done;
+    if !tail = n then None
+    else begin
+      let t = ref 0 in
+      while indeg.(!t) = 0 do
+        incr t
+      done;
+      Some !t
+    end
 
   (* Counting sort of the edges by [key] (their source or destination)
      into (offsets, other endpoints, weights); a stable sort, so each
@@ -251,62 +282,18 @@ module Builder = struct
     done;
     (off, id, w)
 
-  (* Kahn's algorithm; on failure some task keeps a positive in-degree and
-     necessarily lies on (or downstream of) a cycle. Each task enters the
-     FIFO at most once, so it is a plain array. *)
-  let check_acyclic g =
-    let n = Array.length g.comp in
-    let indeg = Array.init n (fun t -> g.pred_off.(t + 1) - g.pred_off.(t)) in
-    let queue = Array.make n 0 and tail = ref 0 in
-    Array.iteri
-      (fun t d ->
-        if d = 0 then begin
-          queue.(!tail) <- t;
-          incr tail
-        end)
-      indeg;
-    let head = ref 0 in
-    while !head < !tail do
-      let t = queue.(!head) in
-      incr head;
-      for i = g.succ_off.(t) to g.succ_off.(t + 1) - 1 do
-        let s = g.succ_id.(i) in
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then begin
-          queue.(!tail) <- s;
-          incr tail
-        end
-      done
-    done;
-    if !tail <> n then begin
-      let on_cycle = ref (-1) in
-      Array.iteri (fun t d -> if d > 0 && !on_cycle < 0 then on_cycle := t) indeg;
-      invalid_arg
-        (Printf.sprintf "Taskgraph.Builder.build: graph has a cycle through task %d"
-           !on_cycle)
-    end
-
   let build b =
     check_alive b "build";
     b.built <- true;
+    (match find_cycle b with
+    | Some t ->
+      invalid_arg
+        (Printf.sprintf "Taskgraph.Builder.build: graph has a cycle through task %d" t)
+    | None -> ());
     let comp = Array.sub b.comps 0 b.num_tasks in
     let succ_off, succ_id, succ_w = freeze_csr b ~key:b.src ~other:b.dst in
     let pred_off, pred_id, pred_w = freeze_csr b ~key:b.dst ~other:b.src in
-    let g =
-      {
-        comp;
-        succ_off;
-        succ_id;
-        succ_w;
-        pred_off;
-        pred_id;
-        pred_w;
-        succ_view = None;
-        pred_view = None;
-      }
-    in
-    check_acyclic g;
-    g
+    { comp; succ_off; succ_id; succ_w; pred_off; pred_id; pred_w }
 end
 
 let of_arrays ~comp ~edges =

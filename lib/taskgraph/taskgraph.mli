@@ -12,11 +12,9 @@
 
     Edges are stored in compressed-sparse-row (CSR) form: per direction
     one flat identifier array and one parallel weight array, indexed
-    through an offset array of length [num_tasks + 1]. Scheduler hot
-    paths stream the flat arrays (via {!iter_succs}/{!iter_preds} or the
-    raw {!Csr} accessors) without allocating; the historical
-    [(task * float) array array] adjacency ({!succs}/{!preds}) is a
-    lazily materialized view kept for cold callers. *)
+    through an offset array of length [num_tasks + 1]. This is the only
+    adjacency: callers stream it through {!iter_succs}/{!iter_preds} or
+    read the raw {!Csr} arrays, and neither allocates. *)
 
 type task = int
 (** Task identifier. *)
@@ -26,13 +24,15 @@ type t
 (** {1 Construction} *)
 
 module Builder : sig
-  (** Incremental construction. The builder stores edges as a forward
-      star: flat growable [int]/[float] arrays in insertion order, each
-      edge chained to the previous edge out of the same source. Adding
-      an edge allocates nothing beyond amortized array growth and
-      checks for a duplicate by walking its source's chain
-      (O(out-degree)); {!build} counting-sorts the edges into the CSR
-      arrays in O(V + E), each task's slots in insertion order. *)
+  (** Incremental construction, and the one place a graph's tasks and
+      edges are stored, duplicate-checked and cycle-checked before it is
+      frozen. The builder stores edges as a forward star: flat growable
+      [int]/[float] arrays in insertion order, each edge chained to the
+      previous edge out of the same source. Adding an edge allocates
+      nothing beyond amortized array growth and checks for a duplicate by
+      walking its source's chain (O(out-degree)); {!build} counting-sorts
+      the edges into the CSR arrays in O(V + E), each task's slots in
+      insertion order. *)
 
   type graph := t
 
@@ -51,11 +51,28 @@ module Builder : sig
 
   val num_tasks : t -> int
 
+  val mem_edge : t -> src:task -> dst:task -> bool
+  (** Whether the edge [src -> dst] has been added; [false] for unknown
+      tasks. O(out-degree of [src]). *)
+
+  val find_cycle : t -> task option
+  (** [None] when the edges added so far are acyclic. Otherwise the
+      lowest task that Kahn's algorithm leaves with unconsumed incoming
+      edges (one on or downstream of a cycle): the task {!build}'s error
+      names. O(V + E); the builder is not frozen. *)
+
+  val append : t -> from:t -> task
+  (** [append b ~from] adds [from]'s tasks to [b], then its edges in
+      insertion order, each task shifted by the returned offset (the id
+      of [from]'s task 0 in [b]). [from] is unchanged. Nothing is checked
+      again: the edges passed {!add_edge} into [from], and shifted they
+      join only the appended tasks. *)
+
   val build : t -> graph
   (** Freezes the builder.
       @raise Invalid_argument if the edges contain a cycle (the error
-      message names one task on the cycle). The builder must not be used
-      afterwards. *)
+      message names the task {!find_cycle} returns). The builder must not
+      be used afterwards. *)
 end
 
 val of_arrays : comp:float array -> edges:(task * task * float) array -> t
@@ -69,16 +86,6 @@ val num_edges : t -> int
 
 val comp : t -> task -> float
 (** Computation cost. *)
-
-val succs : t -> task -> (task * float) array
-(** Outgoing dependences as [(successor, comm)] pairs, in insertion
-    order. Do not mutate. The tuple-array view is materialized (for the
-    whole graph, O(V + E)) on first use and cached; hot paths should
-    prefer {!iter_succs} or {!Csr}. *)
-
-val preds : t -> task -> (task * float) array
-(** Incoming dependences as [(predecessor, comm)] pairs. Do not mutate.
-    Same lazy-view caveat as {!succs}. *)
 
 val iter_succs : t -> task -> (task -> float -> unit) -> unit
 (** [iter_succs g t f] calls [f successor comm] for each outgoing edge of

@@ -12,10 +12,10 @@ let transitive_reduction g =
   let closure = Topo.reachable g in
   (* An edge (u, v) is redundant iff some other successor of u reaches v. *)
   let keep_edge u v =
-    not
-      (Array.exists
-         (fun (s, _) -> s <> v && Bitset.mem closure.(s) v)
-         (Taskgraph.succs g u))
+    let implied = ref false in
+    Taskgraph.iter_succs g u (fun s _ ->
+        if s <> v && Bitset.mem closure.(s) v then implied := true);
+    not !implied
   in
   rebuild_edges g ~keep_edge
 
@@ -25,53 +25,22 @@ let reverse g =
   Taskgraph.iter_edges (fun src dst w -> edges := (dst, src, w) :: !edges) g;
   Taskgraph.of_arrays ~comp ~edges:(Array.of_list (List.rev !edges))
 
-(* Restriction streams the CSR successor arrays directly — two counted
-   passes, no intermediate edge lists — so extracting the unexecuted
-   frontier of a run stays O(V + E) with exactly one edge-array
-   allocation. Returns both direction maps: schedulers work in frontier
-   ids, engines translate back through [old_of_new]. *)
-let restrict g ~keep =
+let induced_subgraph g ~keep =
   let n = Taskgraph.num_tasks g in
-  let new_of_old = Array.make n (-1) in
-  let count = ref 0 in
+  let b = Taskgraph.Builder.create ~expected_tasks:n () in
+  let new_of_old = Array.make n (-1) and kept = ref [] in
   for t = 0 to n - 1 do
     if keep t then begin
-      new_of_old.(t) <- !count;
-      incr count
+      new_of_old.(t) <- Taskgraph.Builder.add_task b ~comp:(Taskgraph.comp g t);
+      kept := t :: !kept
     end
   done;
-  let old_of_new = Array.make !count 0 in
-  for t = 0 to n - 1 do
-    if new_of_old.(t) >= 0 then old_of_new.(new_of_old.(t)) <- t
-  done;
-  let comp = Array.map (Taskgraph.comp g) old_of_new in
-  let off = Taskgraph.Csr.succ_offsets g in
-  let tgt = Taskgraph.Csr.succ_targets g in
-  let w = Taskgraph.Csr.succ_weights g in
-  let m = ref 0 in
-  for t = 0 to n - 1 do
-    if new_of_old.(t) >= 0 then
-      for i = off.(t) to off.(t + 1) - 1 do
-        if new_of_old.(tgt.(i)) >= 0 then incr m
-      done
-  done;
-  let edges = Array.make !m (0, 0, 0.0) in
-  let k = ref 0 in
-  for t = 0 to n - 1 do
-    if new_of_old.(t) >= 0 then
-      for i = off.(t) to off.(t + 1) - 1 do
-        let dst = new_of_old.(tgt.(i)) in
-        if dst >= 0 then begin
-          edges.(!k) <- (new_of_old.(t), dst, w.(i));
-          incr k
-        end
-      done
-  done;
-  (Taskgraph.of_arrays ~comp ~edges, old_of_new, new_of_old)
-
-let induced_subgraph g ~keep =
-  let sub, old_of_new, _ = restrict g ~keep in
-  (sub, old_of_new)
+  Taskgraph.iter_edges
+    (fun src dst comm ->
+      if new_of_old.(src) >= 0 && new_of_old.(dst) >= 0 then
+        Taskgraph.Builder.add_edge b ~src:new_of_old.(src) ~dst:new_of_old.(dst) ~comm)
+    g;
+  (Taskgraph.Builder.build b, Array.of_list (List.rev !kept))
 
 type stats = {
   tasks : int;

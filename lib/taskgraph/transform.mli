@@ -15,15 +15,8 @@ val reverse : Taskgraph.t -> Taskgraph.t
 
 val induced_subgraph : Taskgraph.t -> keep:(Taskgraph.task -> bool) -> Taskgraph.t * int array
 (** The subgraph on the kept tasks (edges between kept tasks survive)
-    together with the mapping from new ids to original ids. *)
-
-val restrict :
-  Taskgraph.t -> keep:(Taskgraph.task -> bool) -> Taskgraph.t * int array * int array
-(** Like {!induced_subgraph} but returns both direction maps
-    [(sub, old_of_new, new_of_old)], with [new_of_old.(t) = -1] for
-    dropped tasks. Streams the CSR adjacency directly (two counted
-    passes, one edge-array allocation), so a fault-time frontier
-    extraction stays O(V + E); relative task order is preserved. *)
+    together with the mapping from new ids to original ids. Relative
+    task order is preserved; O(V + E). *)
 
 type stats = {
   tasks : int;

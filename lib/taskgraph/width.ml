@@ -54,9 +54,8 @@ let max_ready_bound g =
     Array.iter
       (fun t ->
         finish.(t) <- enable.(t) +. Taskgraph.comp g t;
-        Array.iter
-          (fun (s, _) -> if finish.(t) > enable.(s) then enable.(s) <- finish.(t))
-          (Taskgraph.succs g t))
+        Taskgraph.iter_succs g t (fun s _ ->
+            if finish.(t) > enable.(s) then enable.(s) <- finish.(t)))
       (Topo.order g);
     (* Sweep over half-open intervals: at equal times, finishes (kind 0)
        are processed before enables (kind 1) so back-to-back tasks do not

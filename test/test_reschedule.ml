@@ -49,7 +49,7 @@ let test_snapshot_validation () =
   let s = RS.Snapshot.make ~dead:[ 1 ] ~frozen:[ frozen 0 1 0.0 2.0 ] g m in
   check_int "one task frozen" 7 (RS.Snapshot.frontier_size s)
 
-(* --- Frontier extraction --- *)
+(* --- Frontier size --- *)
 
 let test_frontier () =
   let g = Example.fig1 () in
@@ -62,16 +62,7 @@ let test_frontier () =
       ~frozen:[ frozen 0 0 0.0 2.0; frozen 1 1 3.0 5.0; frozen 3 0 2.0 5.0 ]
       g m
   in
-  check_int "frontier size excludes the prefix" 5 (RS.Snapshot.frontier_size s);
-  let sub, old_of_new, new_of_old = RS.Snapshot.frontier s in
-  check_int "sub-DAG covers the frontier" 5 (Taskgraph.num_tasks sub);
-  check_int "frozen tasks have no image" (-1) new_of_old.(0);
-  Array.iteri
-    (fun nt ot ->
-      check_int "index maps are inverse" nt new_of_old.(ot);
-      check_float "weights carried over" (Taskgraph.comp g ot)
-        (Taskgraph.comp sub nt))
-    old_of_new
+  check_int "frontier size excludes the prefix" 5 (RS.Snapshot.frontier_size s)
 
 (* --- Seeding --- *)
 

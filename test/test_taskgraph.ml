@@ -74,7 +74,8 @@ let test_empty_graph () =
 let test_unknown_task_errors () =
   let g = small_graph () in
   check_raises_invalid "comp of unknown" (fun () -> ignore (Taskgraph.comp g 99));
-  check_raises_invalid "succs of negative" (fun () -> ignore (Taskgraph.succs g (-1)))
+  check_raises_invalid "succs of negative" (fun () ->
+      Taskgraph.iter_succs g (-1) (fun _ _ -> ()))
 
 let test_printers () =
   let g = small_graph () in
@@ -99,13 +100,23 @@ let test_iter_edges_complete () =
   check_int "edge count" 4 !count;
   check_float "weight sum" 8.0 !sum
 
-(* Reference implementations over the legacy tuple-array adjacency only
-   ([succs]/[preds]); the library versions stream the CSR arrays. The
-   two representations must produce byte-identical results — same
-   visiting order, same float accumulation order. *)
+(* A test-local [(task * float) array] adjacency, sliced from the CSR
+   arrays. *)
+let slice off id w t =
+  Array.init (off.(t + 1) - off.(t)) (fun i -> (id.(off.(t) + i), w.(off.(t) + i)))
+
+let succs g =
+  Taskgraph.Csr.(slice (succ_offsets g) (succ_targets g) (succ_weights g))
+
+let preds g =
+  Taskgraph.Csr.(slice (pred_offsets g) (pred_sources g) (pred_weights g))
+
+(* Reference implementations over the tuple-array adjacency; the library
+   versions stream the CSR arrays. The two must produce byte-identical
+   results — same visiting order, same float accumulation order. *)
 let ref_topo_order g =
   let n = Taskgraph.num_tasks g in
-  let indeg = Array.init n (fun t -> Array.length (Taskgraph.preds g t)) in
+  let indeg = Array.init n (fun t -> Array.length (preds g t)) in
   let module Iset = Set.Make (Int) in
   let frontier = ref Iset.empty in
   for t = 0 to n - 1 do
@@ -122,7 +133,7 @@ let ref_topo_order g =
       (fun (s, _) ->
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then frontier := Iset.add s !frontier)
-      (Taskgraph.succs g t)
+      (succs g t)
   done;
   out
 
@@ -137,7 +148,7 @@ let ref_blevel g =
       (fun (s, w) ->
         let len = w +. b.(s) in
         if len > !best then best := len)
-      (Taskgraph.succs g t);
+      (succs g t);
     b.(t) <- Taskgraph.comp g t +. !best
   done;
   b
@@ -150,37 +161,109 @@ let ref_tlevel g =
         (fun (s, w) ->
           let len = tl.(t) +. Taskgraph.comp g t +. w in
           if len > tl.(s) then tl.(s) <- len)
-        (Taskgraph.succs g t))
+        (succs g t))
     (ref_topo_order g);
   tl
 
+(* A valid builder input: weighted tasks and distinct edges between
+   distinct tasks. Half the inputs point every edge to a higher id; the
+   rest point edges either way, so they may close a cycle. *)
+let arb_builder_input =
+  let input =
+    QCheck.Gen.(
+      int_range 0 9 >>= fun n ->
+      array_size (return n) (float_bound_inclusive 10.0) >>= fun comps ->
+      let task = int_range 0 (max 0 (n - 1)) in
+      pair bool (list_size (int_range 0 (2 * n)) (triple task task (float_bound_inclusive 10.0)))
+      >|= fun (forward, edges) ->
+      let seen = Hashtbl.create 16 in
+      let edges =
+        List.filter_map
+          (fun (s, d, w) ->
+            let s, d = if forward && s > d then (d, s) else (s, d) in
+            if s = d || Hashtbl.mem seen (s, d) then None
+            else begin
+              Hashtbl.add seen (s, d) ();
+              Some (s, d, w)
+            end)
+          edges
+      in
+      (comps, edges))
+  in
+  let show (comps, edges) =
+    Printf.sprintf "%d tasks [%s]" (Array.length comps)
+      (String.concat "; " (List.map (fun (s, d, _) -> Printf.sprintf "%d->%d" s d) edges))
+  in
+  QCheck.make
+    ~print:(fun (x, y) -> show x ^ " then " ^ show y)
+    QCheck.Gen.(pair input input)
+
+let builder_of (comps, edges) =
+  let b = Taskgraph.Builder.create () in
+  Array.iter (fun comp -> ignore (Taskgraph.Builder.add_task b ~comp)) comps;
+  List.iter (fun (src, dst, comm) -> Taskgraph.Builder.add_edge b ~src ~dst ~comm) edges;
+  b
+
+(* What [build] makes of a builder: every array of the graph, or the
+   error message. *)
+let built b =
+  match Taskgraph.Builder.build b with
+  | g ->
+    Ok
+      ( Array.init (Taskgraph.num_tasks g) (Taskgraph.comp g),
+        Taskgraph.Csr.(succ_offsets g, succ_targets g, succ_weights g),
+        Taskgraph.Csr.(pred_offsets g, pred_sources g, pred_weights g) )
+  | exception Invalid_argument msg -> Error msg
+
+let builder_functions_agree ((comps, edges), y) =
+  let n = Array.length comps in
+  let b = builder_of (comps, edges) in
+  let members_ok =
+    List.for_all
+      (fun src ->
+        List.for_all
+          (fun dst ->
+            Taskgraph.Builder.mem_edge b ~src ~dst
+            = List.exists (fun (s, d, _) -> s = src && d = dst) edges)
+          (List.init (n + 2) (fun i -> i - 1)))
+      (List.init (n + 2) (fun i -> i - 1))
+  in
+  (* [find_cycle] first: it must leave the builder open for [build]. *)
+  let cycle = Taskgraph.Builder.find_cycle b in
+  let cycle_ok =
+    match (cycle, built b) with
+    | None, Ok _ -> true
+    | Some t, Error msg ->
+      msg = Printf.sprintf "Taskgraph.Builder.build: graph has a cycle through task %d" t
+    | _ -> false
+  in
+  let joined = Taskgraph.Builder.create () in
+  let off_x = Taskgraph.Builder.append joined ~from:(builder_of (comps, edges)) in
+  let off_y = Taskgraph.Builder.append joined ~from:(builder_of y) in
+  let shifted =
+    ( Array.append comps (fst y),
+      edges @ List.map (fun (s, d, w) -> (s + n, d + n, w)) (snd y) )
+  in
+  members_ok && cycle_ok && off_x = 0 && off_y = n
+  && built joined = built (builder_of shifted)
+
 let qsuite =
   [
-    qtest "CSR arrays and legacy tuple views agree" arb_dag_params (fun p ->
+    qtest "CSR arrays and iterators agree" arb_dag_params (fun p ->
         let g = build_dag p in
         let n = Taskgraph.num_tasks g in
-        let s_off = Taskgraph.Csr.succ_offsets g
-        and s_id = Taskgraph.Csr.succ_targets g
-        and s_w = Taskgraph.Csr.succ_weights g
-        and p_off = Taskgraph.Csr.pred_offsets g
-        and p_id = Taskgraph.Csr.pred_sources g
-        and p_w = Taskgraph.Csr.pred_weights g in
-        let ok = ref (Array.length s_off = n + 1 && Array.length p_off = n + 1) in
-        let slice off id w t =
-          Array.init (off.(t + 1) - off.(t)) (fun i ->
-              (id.(off.(t) + i), w.(off.(t) + i)))
+        let ok =
+          ref
+            (Array.length (Taskgraph.Csr.succ_offsets g) = n + 1
+            && Array.length (Taskgraph.Csr.pred_offsets g) = n + 1)
         in
         for t = 0 to n - 1 do
-          if slice s_off s_id s_w t <> Taskgraph.succs g t then ok := false;
-          if slice p_off p_id p_w t <> Taskgraph.preds g t then ok := false;
           let streamed = ref [] in
           Taskgraph.iter_succs g t (fun s w -> streamed := (s, w) :: !streamed);
-          if Array.of_list (List.rev !streamed) <> Taskgraph.succs g t then
-            ok := false;
+          if Array.of_list (List.rev !streamed) <> succs g t then ok := false;
           streamed := [];
           Taskgraph.iter_preds g t (fun s w -> streamed := (s, w) :: !streamed);
-          if Array.of_list (List.rev !streamed) <> Taskgraph.preds g t then
-            ok := false
+          if Array.of_list (List.rev !streamed) <> preds g t then ok := false
         done;
         !ok);
     qtest "Topo and Levels are byte-identical across representations"
@@ -202,7 +285,7 @@ let qsuite =
         let ok = ref true in
         Taskgraph.iter_edges
           (fun src dst w ->
-            if not (Array.exists (fun (s, w') -> s = src && w' = w) (Taskgraph.preds g dst))
+            if not (Array.exists (fun (s, w') -> s = src && w' = w) (preds g dst))
             then ok := false)
           g;
         !ok);
@@ -215,6 +298,8 @@ let qsuite =
         done;
         Taskgraph.iter_edges (fun _ _ w -> if w < 0.0 then ok := false) g;
         !ok);
+    qtest "Builder find_cycle, mem_edge and append agree with build"
+      arb_builder_input builder_functions_agree;
   ]
 
 let suite =
