@@ -18,7 +18,9 @@ open! Flb_platform
       non-EP queue ordered by LMT and a global processor queue ordered
       by ready time.
 
-    Every queue is a {!Flb_heap.Flat_heap}, so one iteration costs
+    Every queue is a {!Flb_heap.Flat_heap}, and each set of P
+    per-processor queues is one heap family over a shared size-V index,
+    so the queues take O(V + P) space, one iteration costs
     O(log W + log P) amortized and the whole schedule
     O(V (log W + log P) + E).
 

@@ -17,9 +17,11 @@ let run ?(priority = Greatest_blevel) g machine clustering =
   let cluster_proc = Array.make (Dsc.num_clusters clustering) (-1) in
   (* Ready tasks split by where they may run: one queue per processor for
      tasks of clusters mapped there, one queue for tasks of unmapped
-     clusters. *)
-  let mapped_ready = Array.init p (fun _ -> Flat_heap.create ~universe:n) in
-  let unmapped_ready = Flat_heap.create ~universe:n in
+     clusters. A ready task is in exactly one of them, so all P + 1 are
+     one heap family. *)
+  let ready = Flat_heap.create_family ~universe:n ~count:(p + 1) in
+  let mapped_ready = Array.sub ready 0 p in
+  let unmapped_ready = ready.(p) in
   let procs = Flat_heap.create ~universe:p in
   for pr = 0 to p - 1 do
     Flat_heap.add procs ~elt:pr ~primary:0.0 ~secondary:0.0

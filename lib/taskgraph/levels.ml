@@ -31,15 +31,17 @@ let tlevel g =
     topo;
   tl
 
-let cp_length g =
-  (* The maximum of tlevel + blevel is attained at every task on a critical
-     path; entry tasks alone suffice since tlevel of an entry is 0 and the
-     blevel recursion propagates the full path length. *)
-  Array.fold_left max 0.0 (blevel g)
+(* The maximum of tlevel + blevel is attained at every task on a critical
+   path; entry tasks alone suffice since tlevel of an entry is 0 and the
+   blevel recursion propagates the full path length. *)
+let cp_of_blevel b = Array.fold_left max 0.0 b
+
+let cp_length g = cp_of_blevel (blevel g)
 
 let alap g =
-  let cp = cp_length g in
-  Array.map (fun b -> cp -. b) (blevel g)
+  let b = blevel g in
+  let cp = cp_of_blevel b in
+  Array.map (fun x -> cp -. x) b
 
 let critical_path g =
   let n = Taskgraph.num_tasks g in

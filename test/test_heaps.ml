@@ -114,6 +114,48 @@ let test_flat_secondary_and_id_ties () =
   Flat_heap.remove h 5;
   check_int "largest secondary last" 1 (Flat_heap.peek h)
 
+let test_flat_family_siblings () =
+  let hs = Flat_heap.create_family ~universe:20 ~count:3 in
+  Flat_heap.add hs.(0) ~elt:2 ~primary:1.0 ~secondary:0.0;
+  check_raises_invalid "add of a sibling's element" (fun () ->
+      Flat_heap.add hs.(1) ~elt:2 ~primary:0.0 ~secondary:0.0);
+  check_raises_invalid "update of a sibling's element" (fun () ->
+      Flat_heap.update hs.(1) ~elt:2 ~primary:0.0 ~secondary:0.0);
+  check_bool "mem of a sibling's element" false (Flat_heap.mem hs.(1) 2);
+  (match Flat_heap.primary hs.(1) 2 with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "primary of a sibling's element");
+  Flat_heap.remove hs.(1) 2 (* no-op, a sibling's element *);
+  check_int "holder keeps it" 2 (Flat_heap.peek hs.(0));
+  check_int "sibling stays empty" 0 (Flat_heap.length hs.(1));
+  Flat_heap.remove hs.(0) 2;
+  Flat_heap.add hs.(1) ~elt:2 ~primary:1.0 ~secondary:0.0;
+  check_bool "released element moves" true (Flat_heap.mem hs.(1) 2);
+  (* One heap can grow to take every other element of the universe. *)
+  for e = 19 downto 0 do
+    if e <> 2 then Flat_heap.add hs.(2) ~elt:e ~primary:(float_of_int (e mod 5)) ~secondary:0.0
+  done;
+  check_int "grown heap holds the rest" 19 (Flat_heap.length hs.(2));
+  let drained = List.init 19 (fun _ -> Flat_heap.pop hs.(2)) in
+  Alcotest.(check (list int))
+    "grown heap drains in key order"
+    [ 0; 5; 10; 15; 1; 6; 11; 16; 7; 12; 17; 3; 8; 13; 18; 4; 9; 14; 19 ]
+    drained
+
+(* A flat heap reads exactly as an indexed heap over (float, float) keys. *)
+let flat_agrees flat indexed =
+  Flat_heap.length flat = Indexed_heap.length indexed
+  && (match Indexed_heap.min_elt indexed with
+     | None -> Flat_heap.peek flat = -1
+     | Some (e, (p, s)) ->
+       Flat_heap.peek flat = e
+       && Flat_heap.primary flat e = p
+       && Flat_heap.secondary flat e = s)
+  && Flat_heap.to_sorted_list flat = Indexed_heap.to_sorted_list indexed
+
+let pair_indexed_heap universe =
+  Indexed_heap.create ~universe ~compare:(Stdlib.compare : float * float -> _ -> _)
+
 (* Random operation sequences checked against a simple association-map
    model; this is the FLB workhorse so it gets the heaviest property. *)
 let qsuite =
@@ -167,9 +209,7 @@ let qsuite =
                    (pair (float_range 0.0 100.0) (float_range 0.0 10.0))))))
       (fun (universe, ops) ->
         let flat = Flat_heap.create ~universe in
-        let indexed =
-          Indexed_heap.create ~universe ~compare:(Stdlib.compare : float * float -> _ -> _)
-        in
+        let indexed = pair_indexed_heap universe in
         List.iter
           (fun (op, (raw, (p, s))) ->
             let e = raw mod universe in
@@ -186,14 +226,61 @@ let qsuite =
               Flat_heap.remove flat e;
               Indexed_heap.remove indexed e)
           ops;
-        Flat_heap.length flat = Indexed_heap.length indexed
-        && (match Indexed_heap.min_elt indexed with
-           | None -> Flat_heap.peek flat = -1
-           | Some (e, (p, s)) ->
-             Flat_heap.peek flat = e
-             && Flat_heap.primary flat e = p
-             && Flat_heap.secondary flat e = s)
-        && Flat_heap.to_sorted_list flat = Indexed_heap.to_sorted_list indexed);
+        flat_agrees flat indexed);
+    (* K heaps of one family, each against its own indexed heap. An
+       element is in at most one heap: inserting one a sibling holds must
+       raise and change nothing, and removing it through another heap is
+       a no-op on both sides. *)
+    qtest ~count:300 "flat heap family agrees per heap"
+      QCheck.(
+        triple (int_range 1 60) (int_range 1 6)
+          (list
+             (pair
+                (pair (int_range 0 2) (int_range 0 5))
+                (pair (int_range 0 300)
+                   (pair (float_range 0.0 100.0) (float_range 0.0 10.0))))))
+      (fun (universe, count, ops) ->
+        let flat = Flat_heap.create_family ~universe ~count in
+        let indexed = Array.init count (fun _ -> pair_indexed_heap universe) in
+        let holder e =
+          let rec find k =
+            if k = count then -1 else if Indexed_heap.mem indexed.(k) e then k else find (k + 1)
+          in
+          find 0
+        in
+        let refused = ref true in
+        List.iter
+          (fun ((op, raw_k), (raw, (p, s))) ->
+            let k = raw_k mod count and e = raw mod universe in
+            let h = holder e in
+            if op < 2 && h >= 0 && h <> k then begin
+              let insert = if op = 0 then Flat_heap.add else Flat_heap.update in
+              match insert flat.(k) ~elt:e ~primary:p ~secondary:s with
+              | exception Invalid_argument _ -> ()
+              | () -> refused := false
+            end
+            else
+              match op with
+              | 0 ->
+                if h < 0 then begin
+                  Flat_heap.add flat.(k) ~elt:e ~primary:p ~secondary:s;
+                  Indexed_heap.add indexed.(k) ~elt:e ~key:(p, s)
+                end
+              | 1 ->
+                Flat_heap.update flat.(k) ~elt:e ~primary:p ~secondary:s;
+                Indexed_heap.update indexed.(k) ~elt:e ~key:(p, s)
+              | _ ->
+                Flat_heap.remove flat.(k) e;
+                Indexed_heap.remove indexed.(k) e)
+          ops;
+        !refused
+        && Array.for_all2 flat_agrees flat indexed
+        && List.for_all
+             (fun e ->
+               Array.for_all2
+                 (fun f i -> Flat_heap.mem f e = Indexed_heap.mem i e)
+                 flat indexed)
+             (List.init universe Fun.id));
     qtest "flat heap drains in key order" QCheck.(list (float_range 0.0 50.0))
       (fun keys ->
         let keys = Array.of_list keys in
@@ -235,5 +322,6 @@ let suite =
     Alcotest.test_case "flat: basic" `Quick test_flat_basic;
     Alcotest.test_case "flat: errors" `Quick test_flat_errors;
     Alcotest.test_case "flat: secondary/id ties" `Quick test_flat_secondary_and_id_ties;
+    Alcotest.test_case "flat family: siblings" `Quick test_flat_family_siblings;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
