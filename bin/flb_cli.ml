@@ -13,7 +13,6 @@
      serve     run the scheduling daemon (lib/service)
      request   send one schedule request to a running daemon
      stream    ship a graph to a daemon incrementally (lib/stream)
-     metrics   fetch a daemon's Prometheus metrics
      stats     live introspection snapshot of a running daemon
      route     run the sharding router in front of several daemons
      drain     gracefully remove a backend from a routed fleet *)
@@ -776,7 +775,7 @@ let execute_cmd =
       $ unit_ns_arg $ faults_arg $ recover_arg $ no_comm_arg $ virtual_arg
       $ seed_arg $ trace_out_arg $ flight_out_arg $ metrics_out_arg)
 
-(* --- serve / request / metrics (the flb_service daemon) --- *)
+(* --- serve / request / stats (the flb_service daemon) --- *)
 
 let port_arg =
   let doc = "TCP port of the scheduling daemon." in
@@ -1032,19 +1031,6 @@ let stream_cmd =
     Term.(const run $ host_arg $ port_arg $ graph_default_arg $ algo_arg
           $ procs_arg $ batches_arg $ placements_arg)
 
-let metrics_cmd =
-  let run host port =
-    let client = Flb_service.Client.connect ~host ~port () in
-    Fun.protect
-      ~finally:(fun () -> Flb_service.Client.close client)
-      (fun () ->
-        match Flb_service.Client.get_metrics client with
-        | Ok text -> print_string text
-        | Error msg -> prerr_endline ("metrics failed: " ^ msg); exit 1)
-  in
-  let doc = "Fetch a running daemon's Prometheus metrics exposition." in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ host_arg $ port_arg)
-
 let stats_cmd =
   let json_arg =
     Arg.(value & flag
@@ -1071,8 +1057,9 @@ let stats_cmd =
           exit 1)
   in
   let doc =
-    "Live introspection snapshot of a running daemon: uptime, cache hit \
-     rate, pool depth, per-connection state — no restart required."
+    "Live introspection snapshot of a running daemon or router, as a \
+     Prometheus exposition of its metrics (uptime, cache hit rate, pool \
+     depth, ...) or, with --json, one JSON object — no restart required."
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ host_arg $ port_arg $ json_arg)
 
@@ -1468,7 +1455,7 @@ let () =
       [ gen_cmd; compile_cmd; info_cmd; profile_cmd; schedule_cmd;
         validate_schedule_cmd; compare_cmd; dsh_cmd; trace_cmd; execute_cmd;
         analyze_cmd; experiment_cmd; serve_cmd; request_cmd; stream_cmd;
-        metrics_cmd; stats_cmd; route_cmd; drain_cmd ]
+        stats_cmd; route_cmd; drain_cmd ]
   in
   (* A file flb cannot open, read or write is a usage error, like an
      unreadable graph: "flb: MESSAGE", exit 2. Any other exception is

@@ -36,9 +36,8 @@ type observer = Schedule.t -> iteration -> unit
    identical to the historical Indexed_heap over (float * float) keys —
    without a boxed tuple per push or a polymorphic compare per sift. *)
 type state = {
-  (* Operation counters and (optional) phase timings, re-expressed on the
-     shared Flb_obs.Probe schema; a live untimed probe is pure int
-     bookkeeping, cheap enough to maintain unconditionally. *)
+  (* Operation counters and (optional) phase timings on the shared
+     Flb_obs.Probe schema; [Probe.null] unless the caller passed one. *)
   probe : Probe.t;
   graph : Taskgraph.t;
   sched : Schedule.t;
@@ -290,8 +289,7 @@ let commit st =
   done;
   Probe.phase_end st.probe Probe.Phase.Queue
 
-let run_state_into ?(options = default_options) ?observer ?probe sched =
-  let probe = match probe with Some p -> p | None -> Probe.create "FLB" in
+let run_state_into ?(options = default_options) ?observer ?(probe = Probe.null) sched =
   let st = create_state ~probe options sched in
   let graph = Schedule.graph sched in
   Probe.phase_begin probe Probe.Phase.Queue;

@@ -89,8 +89,9 @@ val run :
 (** Schedules the whole graph. The result is complete and passes
     {!Schedule.validate}. [probe] reports operation counts and (when the
     probe is timed) per-phase wall time through the shared
-    {!Flb_obs.Probe} schema; the default is a live untimed probe, whose
-    bookkeeping is plain integer mutation — an untimed probe adds no
+    {!Flb_obs.Probe} schema; the default is {!Flb_obs.Probe.null},
+    which records nothing, as for the other list schedulers. A live
+    untimed probe's bookkeeping is plain integer mutation and adds no
     allocation to the scheduling loop. The counters are the units of the
     paper's O(V (log W + log P) + E) bound: at most 7 task-queue
     operations per task (two insertions at readiness, three on its one

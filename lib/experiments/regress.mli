@@ -11,9 +11,9 @@
       baseline.
 
     The report serializes to the committed [BENCH_schedulers.json], the
-    only file [bench/main.exe --regress] writes; a minimal private JSON
-    reader loads it back so CI's gate ([--regress-check]) needs no
-    external tooling. Cost figures at V≈2000 are [flb experiment fig2]'s
+    only file [bench/main.exe --regress] writes, through
+    {!Flb_prelude.Json}, whose reader loads it back, so CI's gate
+    ([--regress-check]) needs no external tooling. Cost figures at V≈2000 are [flb experiment fig2]'s
     and [flb experiment complexity]'s. *)
 
 type entry = {
@@ -38,11 +38,13 @@ val render : report -> string
 (** Human-readable table. *)
 
 val to_json : report -> string
+(** One compact JSON object, schema ["flb-regress/1"], per-task figures
+    rounded to one decimal. *)
 
 val of_json : string -> (report, string) result
-(** Parses exactly the documents {!to_json} produces (strict JSON subset:
-    one object with string/number fields and one array of entry
-    objects). *)
+(** Reads a {!to_json} document with {!Flb_prelude.Json.of_string}:
+    [Error] on text that is not strict JSON, another schema, or a
+    missing or mistyped field. *)
 
 val check :
   baseline:report -> current:report -> tolerance:float -> (unit, string list) result

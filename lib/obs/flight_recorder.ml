@@ -91,34 +91,21 @@ let iter t f =
     done
   done
 
-(* Same line schema as Trace.to_jsonl, so one parser (Analyze) reads
-   live traces and flight dumps alike. A leading meta line carries the
-   run's identity (engine, trace id, unit_ns, ...). *)
-let to_jsonl ?(meta = []) t =
-  let buf = Buffer.create 4096 in
-  let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if meta <> [] then begin
-    Buffer.add_string buf "{\"type\":\"meta\"";
-    List.iter (fun (k, v) -> emit ",%S:%S" k v) meta;
-    Buffer.add_string buf "}\n"
-  end;
+(* Replayed into a Trace so the dump is written in Trace.to_jsonl's line
+   schema, which Analyze reads for live traces and flight dumps alike. *)
+let to_jsonl ?meta t =
+  let trace = Trace.create ~clock:(fun () -> 0.0) () in
   iter t (fun ~domain kind ~ts ~dur ~a ~b ->
       let track = Printf.sprintf "D%d" domain in
+      let mark args = Trace.instant trace ~ts ~track ~args (kind_name kind) in
       match kind with
-      | Task -> emit "{\"type\":\"span\",\"track\":%S,\"name\":\"task %d\",\"ts\":%g,\"dur\":%g}\n" track a ts dur
+      | Task -> Trace.add_span trace ~track ~name:(Printf.sprintf "task %d" a) ~ts ~dur
       | Steal | Recover ->
-        emit "{\"type\":\"instant\",\"track\":%S,\"name\":%S,\"ts\":%g,\"task\":%d%s}\n"
-          track (kind_name kind) ts a
-          (if b < 0.0 then "" else Printf.sprintf ",\"victim\":%g" b)
-      | Stall ->
-        emit "{\"type\":\"instant\",\"track\":%S,\"name\":\"stall\",\"ts\":%g,\"until\":%g}\n"
-          track ts b
-      | Killed -> emit "{\"type\":\"instant\",\"track\":%S,\"name\":\"killed\",\"ts\":%g}\n" track ts
-      | Resched ->
-        emit
-          "{\"type\":\"instant\",\"track\":%S,\"name\":\"resched\",\"ts\":%g,\"frontier\":%d,\"latency_ns\":%g}\n"
-          track ts a b);
-  Buffer.contents buf
+        mark (("task", float_of_int a) :: (if b < 0.0 then [] else [ ("victim", b) ]))
+      | Stall -> mark [ ("until", b) ]
+      | Killed -> mark []
+      | Resched -> mark [ ("frontier", float_of_int a); ("latency_ns", b) ]);
+  Trace.to_jsonl ?meta trace
 
 let dump ?meta t ~path =
   let oc = open_out path in

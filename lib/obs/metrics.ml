@@ -202,42 +202,34 @@ let to_prometheus t =
     (metrics t);
   Buffer.contents buf
 
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{";
-  let first = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string buf ",";
-        Buffer.add_string buf s)
-      fmt
+let json t =
+  let histogram h =
+    Histogram.with_lock h (fun () ->
+        let hist = h.Histogram.hist in
+        let sum = ("sum", Json.Num (Stats.Log_histogram.sum hist)) in
+        match Stats.Log_histogram.count hist with
+        | 0 -> Json.Obj [ ("count", Json.int 0); sum ]
+        | n ->
+          Json.Obj
+            [
+              ("count", Json.int n);
+              sum;
+              ("min", Json.Num (Stats.Log_histogram.min hist));
+              ("max", Json.Num (Stats.Log_histogram.max hist));
+              ("p50", Json.Num (Stats.Log_histogram.p50 hist));
+              ("p95", Json.Num (Stats.Log_histogram.p95 hist));
+              ("p99", Json.Num (Stats.Log_histogram.p99 hist));
+            ])
   in
-  List.iter
-    (fun metric ->
-      match metric with
-      | C c -> emit "%S:%d" c.Counter.name (Counter.value c)
-      | G g -> emit "%S:%g" g.Gauge.name (Gauge.value g)
-      | H h ->
-        Histogram.with_lock h (fun () ->
-            let hist = h.Histogram.hist in
-            let n = Stats.Log_histogram.count hist in
-            if n = 0 then
-              emit "%S:{\"count\":0,\"sum\":%g}" h.Histogram.name
-                (Stats.Log_histogram.sum hist)
-            else
-              emit
-                "%S:{\"count\":%d,\"sum\":%g,\"min\":%g,\"max\":%g,\"p50\":%g,\"p95\":%g,\"p99\":%g}"
-                h.Histogram.name n
-                (Stats.Log_histogram.sum hist)
-                (Stats.Log_histogram.min hist)
-                (Stats.Log_histogram.max hist)
-                (Stats.Log_histogram.p50 hist)
-                (Stats.Log_histogram.p95 hist)
-                (Stats.Log_histogram.p99 hist)))
-    (metrics t);
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Json.Obj
+    (List.map
+       (function
+         | C c -> (c.Counter.name, Json.int (Counter.value c))
+         | G g -> (g.Gauge.name, Json.Num (Gauge.value g))
+         | H h -> (h.Histogram.name, histogram h))
+       (metrics t))
+
+let to_json t = Json.to_string (json t)
 
 let save_prometheus t ~path =
   let oc = open_out path in

@@ -87,9 +87,13 @@ val to_prometheus : t -> string
     lines plus [_sum] and [_count]. Names are sanitized to the
     Prometheus alphabet ([a-z0-9_:]). *)
 
-val to_json : t -> string
+val json : t -> Flb_prelude.Json.t
 (** One JSON object, metrics in registration order; histograms dump
-    count/sum/min/max/p50/p95/p99. *)
+    count/sum/min/max/p50/p95/p99 (count and sum only while empty). The
+    daemon's and the router's [stats] snapshots embed it. *)
+
+val to_json : t -> string
+(** {!json} rendered; a non-finite gauge reads [null]. *)
 
 val save_prometheus : t -> path:string -> unit
 

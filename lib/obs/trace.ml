@@ -69,10 +69,13 @@ let tracks t =
     t.events;
   (List.rev !order, fun track -> Hashtbl.find seen track)
 
-let append_args buf args =
-  List.iter
-    (fun (k, v) -> Printf.ksprintf (Buffer.add_string buf) ",%S:%g" k v)
-    args
+let num_fields args = List.map (fun (k, v) -> (k, Json.Num v)) args
+
+let add_args buf = function
+  | [] -> ()
+  | args ->
+    Buffer.add_string buf ",\"args\":";
+    Json.to_buffer buf (Json.Obj (num_fields args))
 
 (* Same emission idiom as Flb_platform.Chrome_trace: a "traceEvents"
    array, one thread (row) per track, microsecond timestamps. *)
@@ -81,19 +84,17 @@ let to_chrome_json ?(name = "flb-obs") t =
   let buf = Buffer.create 4096 in
   let first = ref true in
   let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string buf ",\n";
-        Buffer.add_string buf s)
-      fmt
+    if !first then first := false else Buffer.add_string buf ",\n";
+    Printf.bprintf buf fmt
   in
   Buffer.add_string buf "{\"traceEvents\": [\n";
-  emit "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":%S}}" name;
+  emit "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":%a}}"
+    Json.to_buffer (Json.Str name);
   List.iter
     (fun track ->
       emit
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%S}}"
-        (tid_of track) track)
+        "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%a}}"
+        (tid_of track) Json.to_buffer (Json.Str track))
     track_order;
   Vec.iter
     (fun e ->
@@ -101,53 +102,44 @@ let to_chrome_json ?(name = "flb-obs") t =
       let us x = x *. 1e6 in
       match e.kind with
       | Span dur ->
-        let args_buf = Buffer.create 32 in
-        append_args args_buf e.args;
-        emit "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"name\":%S,\"ts\":%.3f,\"dur\":%.3f%s}"
-          tid e.name (us e.ts) (us dur)
-          (if e.args = [] then ""
-           else
-             ",\"args\":{"
-             ^ String.sub (Buffer.contents args_buf) 1 (Buffer.length args_buf - 1)
-             ^ "}")
+        emit "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"name\":%a,\"ts\":%.3f,\"dur\":%.3f%a}"
+          tid Json.to_buffer (Json.Str e.name) (us e.ts) (us dur) add_args e.args
       | Instant ->
-        let args_buf = Buffer.create 32 in
-        append_args args_buf e.args;
-        emit "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"name\":%S,\"ts\":%.3f,\"s\":\"t\"%s}"
-          tid e.name (us e.ts)
-          (if e.args = [] then ""
-           else
-             ",\"args\":{"
-             ^ String.sub (Buffer.contents args_buf) 1 (Buffer.length args_buf - 1)
-             ^ "}")
+        emit "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"name\":%a,\"ts\":%.3f,\"s\":\"t\"%a}"
+          tid Json.to_buffer (Json.Str e.name) (us e.ts) add_args e.args
       | Counter v ->
-        emit
-          "{\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"name\":%S,\"ts\":%.3f,\"args\":{\"value\":%g}}"
-          tid e.name (us e.ts) v)
+        emit "{\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"name\":%a,\"ts\":%.3f%a}"
+          tid Json.to_buffer (Json.Str e.name) (us e.ts) add_args [ ("value", v) ])
     t.events;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let to_jsonl t =
+(* The JSONL trace schema, one object per line: an optional meta line of
+   string fields, then one line per event — its type, track, name and
+   ts, then the span's dur or the counter's value, then the args. *)
+let to_jsonl ?(meta = []) t =
   let buf = Buffer.create 4096 in
+  let line fields =
+    Json.to_buffer buf (Json.Obj fields);
+    Buffer.add_char buf '\n'
+  in
+  if meta <> [] then
+    line (("type", Json.Str "meta") :: List.map (fun (k, v) -> (k, Json.Str v)) meta);
   Vec.iter
     (fun e ->
-      let args_buf = Buffer.create 32 in
-      append_args args_buf e.args;
-      let args = Buffer.contents args_buf in
-      (match e.kind with
-      | Span dur ->
-        Printf.ksprintf (Buffer.add_string buf)
-          "{\"type\":\"span\",\"track\":%S,\"name\":%S,\"ts\":%g,\"dur\":%g%s}\n"
-          e.track e.name e.ts dur args
-      | Instant ->
-        Printf.ksprintf (Buffer.add_string buf)
-          "{\"type\":\"instant\",\"track\":%S,\"name\":%S,\"ts\":%g%s}\n" e.track
-          e.name e.ts args
-      | Counter v ->
-        Printf.ksprintf (Buffer.add_string buf)
-          "{\"type\":\"counter\",\"track\":%S,\"name\":%S,\"ts\":%g,\"value\":%g}\n"
-          e.track e.name e.ts v))
+      let head typ =
+        [
+          ("type", Json.Str typ);
+          ("track", Json.Str e.track);
+          ("name", Json.Str e.name);
+          ("ts", Json.Num e.ts);
+        ]
+      in
+      line
+        (match e.kind with
+        | Span dur -> head "span" @ (("dur", Json.Num dur) :: num_fields e.args)
+        | Instant -> head "instant" @ num_fields e.args
+        | Counter v -> head "counter" @ [ ("value", Json.Num v) ]))
     t.events;
   Buffer.contents buf
 

@@ -56,8 +56,15 @@ val to_chrome_json : ?name:string -> t -> string
     per track in order of first appearance, spans as ["X"] events,
     instants as ["i"], counters as ["C"]; timestamps in microseconds. *)
 
-val to_jsonl : t -> string
-(** One JSON object per line, in recording order. *)
+val to_jsonl : ?meta:(string * string) list -> t -> string
+(** The JSONL trace schema, one JSON object per line: a
+    [{"type":"meta",...}] line of [meta]'s string fields when [meta] is
+    non-empty, then one line per event in recording order — its type
+    (["span"], ["instant"] or ["counter"]), track, name and ts, then a
+    span's dur or a counter's value, then its args. Numbers read back
+    bit-identical (a non-finite one is [null]), so the flight recorder,
+    the virtual-clock rendering and [flb analyze] share this one
+    writer and its reader exactly. *)
 
 val save_chrome : ?name:string -> t -> path:string -> unit
 

@@ -5,6 +5,7 @@
    deterministic tie-break, so any two replicas that have seen the same
    digests hold byte-identical state, and epochs never move backwards. *)
 
+module Json = Flb_prelude.Json
 module Wire = Flb_service.Wire
 
 type t = {
@@ -132,26 +133,26 @@ let merge t (d : Wire.gossip_digest) =
       end;
       List.rev !changed)
 
-let to_json t =
+let json t =
   with_lock t (fun () ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b "{\"backends\":{";
-      let rows =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.entries [])
+      let status = function
+        | Wire.Peer_up -> "up"
+        | Wire.Peer_draining -> "draining"
+        | Wire.Peer_down -> "down"
       in
-      List.iteri
-        (fun i (backend, (status, epoch)) ->
-          if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%S:{\"status\":%S,\"epoch\":%d}" backend
-            (match status with
-            | Wire.Peer_up -> "up"
-            | Wire.Peer_draining -> "draining"
-            | Wire.Peer_down -> "down")
-            epoch)
-        rows;
-      Printf.bprintf b "},\"splits\":[%s],\"splits_epoch\":%d"
-        (String.concat "," (List.map (Printf.sprintf "%S") t.splits))
-        t.splits_epoch;
-      Printf.bprintf b ",\"exchanges\":%d,\"merges\":%d}" t.exchanges t.merges;
-      Buffer.contents b)
+      let backends =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.entries [])
+      in
+      Json.Obj
+        [
+          ( "backends",
+            Json.Obj
+              (List.map
+                 (fun (backend, (s, epoch)) ->
+                   (backend, Json.Obj [ ("status", Json.Str (status s)); ("epoch", Json.int epoch) ]))
+                 backends) );
+          ("splits", Json.Arr (List.map (fun s -> Json.Str s) t.splits));
+          ("splits_epoch", Json.int t.splits_epoch);
+          ("exchanges", Json.int t.exchanges);
+          ("merges", Json.int t.merges);
+        ])

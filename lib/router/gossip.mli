@@ -51,7 +51,7 @@ val merges : t -> int
 val exchanges : t -> int
 (** Digests merged since start (one per exchange side). *)
 
-val to_json : t -> string
+val json : t -> Flb_prelude.Json.t
 (** One JSON object — backends with status/epoch, splits, counters —
     embedded in the router's stats snapshot so operators (and CI) can
     assert two replicas agree. *)

@@ -1,3 +1,4 @@
+module Json = Flb_prelude.Json
 module Wire = Flb_service.Wire
 module Cache = Flb_service.Cache
 module Client = Flb_service.Client
@@ -440,33 +441,36 @@ let refresh_gauges t =
   Metrics.Gauge.set t.splits_g (float_of_int (Balancer.splits t.balancer))
 
 let stats_json t =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"role\":\"router\",\"uptime_s\":%g,\"policy\":%S"
-    (now () -. t.started_at)
-    (match t.config.policy with Hash -> "hash" | Round_robin -> "round-robin");
-  Printf.bprintf b ",\"replication\":%d,\"split_factor\":%d,\"vnodes\":%d"
-    t.config.replication t.config.split_factor t.config.vnodes;
-  Printf.bprintf b ",\"shards_tracked\":%d,\"splits\":%d"
-    (Balancer.shards_tracked t.balancer)
-    (Balancer.splits t.balancer);
-  Printf.bprintf b ",\"peers\":%d,\"gossip\":%s"
-    (List.length t.config.peers)
-    (Gossip.to_json t.gossip);
-  Buffer.add_string b ",\"backends\":[";
-  Array.iteri
-    (fun i bk ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"id\":%S,\"status\":%S,\"inflight\":%d,\"pending\":%d,\"hit_rate\":%g,\"requests\":%d,\"failures\":%d,\"last_error\":%S}"
-        (Backend.id bk)
-        (Backend.status_name (Backend.status bk))
-        (Backend.inflight bk) (Backend.pending bk) (Backend.hit_rate bk)
-        (Backend.requests bk) (Backend.failures bk) (Backend.last_error bk))
-    t.backends;
-  Buffer.add_string b "],\"metrics\":";
-  Buffer.add_string b (Metrics.to_json t.registry);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let backend bk =
+    Json.Obj
+      [
+        ("id", Json.Str (Backend.id bk));
+        ("status", Json.Str (Backend.status_name (Backend.status bk)));
+        ("inflight", Json.int (Backend.inflight bk));
+        ("pending", Json.int (Backend.pending bk));
+        ("hit_rate", Json.Num (Backend.hit_rate bk));
+        ("requests", Json.int (Backend.requests bk));
+        ("failures", Json.int (Backend.failures bk));
+        ("last_error", Json.Str (Backend.last_error bk));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("role", Json.Str "router");
+         ("uptime_s", Json.Num (now () -. t.started_at));
+         ( "policy",
+           Json.Str (match t.config.policy with Hash -> "hash" | Round_robin -> "round-robin") );
+         ("replication", Json.int t.config.replication);
+         ("split_factor", Json.int t.config.split_factor);
+         ("vnodes", Json.int t.config.vnodes);
+         ("shards_tracked", Json.int (Balancer.shards_tracked t.balancer));
+         ("splits", Json.int (Balancer.splits t.balancer));
+         ("peers", Json.int (List.length t.config.peers));
+         ("gossip", Gossip.json t.gossip);
+         ("backends", Json.Arr (Array.to_list (Array.map backend t.backends)));
+         ("metrics", Metrics.json t.registry);
+       ])
 
 let stats_text t fmt =
   refresh_gauges t;

@@ -1,5 +1,7 @@
 open! Flb_taskgraph
 open! Flb_platform
+module Json = Flb_prelude.Json
+module Trace = Flb_obs.Trace
 
 (* Post-mortem makespan attribution: parse a runtime trace (live JSONL
    or a flight-recorder dump — same line schema), rebuild the realized
@@ -23,110 +25,11 @@ type run = {
   meta : (string * string) list;
 }
 
-(* --- a minimal flat-JSON-object-per-line parser ---
-
-   The trace schema is deliberately flat: one object per line, string
-   or number values only. This parser covers exactly that (with full
-   string escape handling) so the runtime library needs no JSON
-   dependency. *)
-
-type field = S of string | N of float
-
-exception Bad of string
-
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos
-    else raise (Bad (Printf.sprintf "expected %c at byte %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let fin = ref false in
-    while not !fin do
-      if !pos >= n then raise (Bad "unterminated string");
-      (match line.[!pos] with
-      | '"' -> fin := true
-      | '\\' ->
-        incr pos;
-        if !pos >= n then raise (Bad "dangling escape");
-        (match line.[!pos] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          if !pos + 4 >= n then raise (Bad "truncated \\u escape");
-          (match int_of_string_opt ("0x" ^ String.sub line (!pos + 1) 4) with
-          | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-          | Some _ -> Buffer.add_char b '?'
-          | None -> raise (Bad "bad \\u escape"));
-          pos := !pos + 4
-        | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)))
-      | c -> Buffer.add_char b c);
-      incr pos
-    done;
-    Buffer.contents b
-  in
-  let parse_number () =
-    let first = !pos in
-    while
-      !pos < n
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | 'n' | 'a' | 'i' | 'f' -> true (* nan / inf *)
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line first (!pos - first)) with
-    | Some x -> x
-    | None -> raise (Bad (Printf.sprintf "bad number at byte %d" first))
-  in
-  expect '{';
-  skip_ws ();
-  if !pos < n && line.[!pos] = '}' then []
-  else begin
-    let fields = ref [] in
-    let more = ref true in
-    while !more do
-      skip_ws ();
-      let k = parse_string () in
-      expect ':';
-      skip_ws ();
-      let v =
-        if !pos < n && line.[!pos] = '"' then S (parse_string ())
-        else N (parse_number ())
-      in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then incr pos
-      else begin
-        expect '}';
-        more := false
-      end
-    done;
-    List.rev !fields
-  end
-
 let str fields k =
-  match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None
+  match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
 
 let num fields k =
-  match List.assoc_opt k fields with Some (N x) -> Some x | _ -> None
+  match List.assoc_opt k fields with Some (Json.Num x) -> Some x | _ -> None
 
 (* "D7" -> Some 7; request/phase tracks -> None. *)
 let domain_of_track track =
@@ -147,16 +50,15 @@ let of_jsonl text =
   |> List.iter (fun line ->
          incr lineno;
          if !err = None && String.trim line <> "" then
-           match parse_object line with
-           | exception Bad msg ->
-             err := Some (Printf.sprintf "line %d: %s" !lineno msg)
-           | fields -> (
+           match Json.of_string line with
+           | Error msg -> err := Some (Printf.sprintf "line %d: %s" !lineno msg)
+           | Ok (Json.Obj fields) -> (
              match str fields "type" with
              | Some "meta" ->
                List.iter
                  (fun (k, v) ->
                    match v with
-                   | S s when k <> "type" -> meta := (k, s) :: !meta
+                   | Json.Str s when k <> "type" -> meta := (k, s) :: !meta
                    | _ -> ())
                  fields
              | Some "span" -> (
@@ -190,13 +92,14 @@ let of_jsonl text =
                    List.filter_map
                      (fun (k, v) ->
                        match v with
-                       | N x when k <> "ts" && k <> "dur" -> Some (k, x)
+                       | Json.Num x when k <> "ts" && k <> "dur" -> Some (k, x)
                        | _ -> None)
                      fields
                  in
                  marks := { mark_name; mark_domain; mark_ts; mark_args } :: !marks
                | _ -> ())
-             | _ -> ()))
+             | _ -> ())
+           | Ok _ -> err := Some (Printf.sprintf "line %d: not a JSON object" !lineno))
   |> ignore;
   match !err with
   | Some e -> Error e
@@ -525,74 +428,72 @@ let render r =
   Buffer.contents b
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pr "{\"makespan\":%g,\"executed\":%d,\"total\":%d,\"comm_charged\":%b"
-    r.makespan r.executed r.total r.comm_charged;
-  pr ",\"critical_path\":[%s]"
-    (String.concat "," (List.map string_of_int r.critical_path));
-  pr ",\"tasks\":[";
-  let first = ref true in
-  Array.iter
-    (fun s ->
-      match s with
-      | None -> ()
-      | Some s ->
-        if not !first then pr ",";
-        first := false;
-        pr
-          "{\"task\":%d,\"domain\":%d,\"start\":%g,\"finish\":%g,\"slack\":%g,\"on_critical_path\":%b"
-          s.t_task s.t_domain s.t_start s.t_finish s.t_slack s.t_on_cp;
-        if Float.is_finite s.t_lateness then
-          pr ",\"predicted_finish\":%g,\"lateness\":%g" s.t_predicted_finish
-            s.t_lateness;
-        pr "}")
-    r.per_task;
-  pr "],\"domains\":[";
-  Array.iteri
-    (fun i d ->
-      if i > 0 then pr ",";
-      pr
-        "{\"domain\":%d,\"tasks\":%d,\"busy\":%g,\"idle\":%g,\"steals\":%d,\"recovered\":%d,\"stalls\":%d,\"killed\":%b}"
-        d.d_domain d.d_tasks d.d_busy d.d_idle d.d_steals d.d_recovers
-        d.d_stalls d.d_killed)
-    r.per_domain;
-  pr "],\"stragglers\":[%s]}"
-    (String.concat ","
-       (List.map
-          (fun (t, l) -> Printf.sprintf "{\"task\":%d,\"lateness\":%g}" t l)
-          r.stragglers));
-  Buffer.contents b
+  let task s =
+    Json.Obj
+      ([
+         ("task", Json.int s.t_task);
+         ("domain", Json.int s.t_domain);
+         ("start", Json.Num s.t_start);
+         ("finish", Json.Num s.t_finish);
+         ("slack", Json.Num s.t_slack);
+         ("on_critical_path", Json.Bool s.t_on_cp);
+       ]
+      @
+      if Float.is_finite s.t_lateness then
+        [
+          ("predicted_finish", Json.Num s.t_predicted_finish);
+          ("lateness", Json.Num s.t_lateness);
+        ]
+      else [])
+  in
+  let domain d =
+    Json.Obj
+      [
+        ("domain", Json.int d.d_domain);
+        ("tasks", Json.int d.d_tasks);
+        ("busy", Json.Num d.d_busy);
+        ("idle", Json.Num d.d_idle);
+        ("steals", Json.int d.d_steals);
+        ("recovered", Json.int d.d_recovers);
+        ("stalls", Json.int d.d_stalls);
+        ("killed", Json.Bool d.d_killed);
+      ]
+  in
+  let straggler (t, l) = Json.Obj [ ("task", Json.int t); ("lateness", Json.Num l) ] in
+  Json.to_string
+    (Json.Obj
+       [
+         ("makespan", Json.Num r.makespan);
+         ("executed", Json.int r.executed);
+         ("total", Json.int r.total);
+         ("comm_charged", Json.Bool r.comm_charged);
+         ("critical_path", Json.Arr (List.map Json.int r.critical_path));
+         ("tasks", Json.Arr (List.filter_map (Option.map task) (Array.to_list r.per_task)));
+         ("domains", Json.Arr (Array.to_list (Array.map domain r.per_domain)));
+         ("stragglers", Json.Arr (List.map straggler r.stragglers));
+       ])
 
-(* --- JSONL writer for virtual-clock outcomes ---
+(* --- JSONL for virtual-clock outcomes ---
 
-   The deterministic complement of Trace.to_jsonl: the virtual engines
-   produce (start, finish, exec_domain) arrays instead of a live trace;
-   this renders them in the same line schema so [analyze] (and the fig1
-   golden test) reads both. *)
+   The virtual engines produce (start, finish, exec_domain) arrays
+   instead of a live trace; replayed into a Trace as task spans in start
+   order, they come out in Trace.to_jsonl's line schema, so [analyze]
+   (and the fig1 golden test) reads both. *)
 
-let jsonl_of_times ?(meta = []) ~start ~finish ~exec_domain () =
+let jsonl_of_times ?meta ~start ~finish ~exec_domain () =
   let n = Array.length start in
   if Array.length finish <> n || Array.length exec_domain <> n then
     invalid_arg "Analyze.jsonl_of_times: array lengths differ";
-  let b = Buffer.create 1024 in
-  if meta <> [] then begin
-    Buffer.add_string b "{\"type\":\"meta\"";
-    List.iter (fun (k, v) -> Printf.ksprintf (Buffer.add_string b) ",%S:%S" k v) meta;
-    Buffer.add_string b "}\n"
-  end;
   let tasks = ref [] in
   for t = n - 1 downto 0 do
     if exec_domain.(t) >= 0 then tasks := t :: !tasks
   done;
-  let tasks =
-    List.sort (fun a b -> compare (start.(a), a) (start.(b), b)) !tasks
-  in
+  let trace = Trace.create ~clock:(fun () -> 0.0) () in
   List.iter
     (fun t ->
-      Printf.ksprintf (Buffer.add_string b)
-        "{\"type\":\"span\",\"track\":\"D%d\",\"name\":\"task %d\",\"ts\":%g,\"dur\":%g}\n"
-        exec_domain.(t) t start.(t)
-        (finish.(t) -. start.(t)))
-    tasks;
-  Buffer.contents b
+      Trace.add_span trace
+        ~track:(Printf.sprintf "D%d" exec_domain.(t))
+        ~name:(Printf.sprintf "task %d" t) ~ts:start.(t)
+        ~dur:(finish.(t) -. start.(t)))
+    (List.sort (fun a b -> compare (start.(a), a) (start.(b), b)) !tasks);
+  Trace.to_jsonl ?meta trace

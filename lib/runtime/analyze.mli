@@ -3,11 +3,12 @@ open! Flb_platform
 
 (** Post-mortem makespan attribution.
 
-    Reads a runtime trace — live JSONL ({!Flb_obs.Trace.to_jsonl}), a
-    flight-recorder dump ({!Flb_obs.Flight_recorder.to_jsonl}), or a
-    virtual-clock rendering ({!jsonl_of_times}); all three share one
-    line schema — and reconstructs what actually determined the
-    makespan:
+    Reads a runtime trace — live JSONL, a flight-recorder dump
+    ({!Flb_obs.Flight_recorder.to_jsonl}), or a virtual-clock rendering
+    ({!jsonl_of_times}); {!Flb_obs.Trace.to_jsonl} writes all three in
+    one line schema, and each line is read back exactly by
+    {!Flb_prelude.Json.of_string} — and reconstructs what actually
+    determined the makespan:
 
     - the {e realized critical path}: walking back from the
       last-finishing task through the tightest constraint on each start
@@ -47,8 +48,9 @@ type run = {
 val of_jsonl : string -> (run, string) result
 (** Parse JSONL trace text. Lines that are not task spans or instants
     on domain tracks ([D0], [D1], ...) — request tracks, probe phase
-    tracks — are skipped; a syntactically broken line is an [Error]
-    naming the line. *)
+    tracks — are skipped; a line that is not one JSON object is an
+    [Error] naming the line, and so is a task span without a numeric
+    [ts] or [dur] (a [null] one included). *)
 
 val load : string -> (run, string) result
 (** {!of_jsonl} on a file's contents; I/O failures as [Error]. *)
@@ -118,6 +120,7 @@ val jsonl_of_times :
   unit ->
   string
 (** Render virtual-clock style [(start, finish, exec_domain)] arrays in
-    the shared JSONL schema (tasks with [exec_domain < 0] are skipped),
-    so deterministic outcomes feed {!of_jsonl} and golden tests.
-    @raise Invalid_argument if array lengths differ. *)
+    the shared JSONL schema, as task spans in start order through
+    {!Flb_obs.Trace.to_jsonl} (tasks with [exec_domain < 0] are
+    skipped), so deterministic outcomes feed {!of_jsonl} and golden
+    tests. @raise Invalid_argument if array lengths differ. *)

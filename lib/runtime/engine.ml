@@ -89,10 +89,6 @@ let emit_metrics m o =
   Counter.add (counter m ~help:"steal attempts that found nothing" "rt_failed_steals_total")
     o.failed_steals;
   Counter.add
-    (counter m ~help:"steal attempts that found nothing (DLS-style name)"
-       "rt_steal_fail_total")
-    o.failed_steals;
-  Counter.add
     (counter m ~help:"tasks executed on their affinity-hinted domain"
        "rt_affinity_hint_hits")
     o.hint_hits;
@@ -258,7 +254,7 @@ module State = struct
       ("reason", reason);
       ("engine", st.engine);
       ("domains", string_of_int st.cfg.domains);
-      ("unit_ns", Printf.sprintf "%g" st.cfg.unit_ns);
+      ("unit_ns", Flb_prelude.Json.to_string (Flb_prelude.Json.Num st.cfg.unit_ns));
       ("trace_id", Flb_obs.Trace_context.id_to_string st.cfg.trace_id);
     ]
 

@@ -1,5 +1,6 @@
 open! Flb_taskgraph
 open! Flb_platform
+module Json = Flb_prelude.Json
 module Registry = Flb_experiments.Registry
 module Metrics = Flb_obs.Metrics
 module Trace = Flb_obs.Trace
@@ -287,38 +288,52 @@ let refresh_snapshot_gauges srv =
     (float_of_int (List.length (Listener.connections srv.listener)))
 
 let stats_json srv =
-  let b = Buffer.create 1024 in
   let t = now () in
-  Printf.bprintf b "{\"state\":%S,\"uptime_s\":%g" (state_name srv)
-    (t -. srv.started_at);
-  Printf.bprintf b
-    ",\"cache\":{\"entries\":%d,\"capacity\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"hit_rate\":%g}"
-    (Cache.length srv.cache) (Cache.capacity srv.cache) (Cache.hits srv.cache)
-    (Cache.misses srv.cache) (Cache.evictions srv.cache)
-    (Cache.hit_rate srv.cache);
-  Printf.bprintf b
-    ",\"pool\":{\"domains\":%d,\"pending\":%d,\"queue_capacity\":%d}"
-    (Pool.domains srv.pool) (Pool.pending srv.pool)
-    (Pool.queue_capacity srv.pool);
-  Printf.bprintf b ",\"streams\":{\"active\":%d,\"rounds\":%d,\"bypasses\":%d}"
-    (Stream_loop.active_streams srv.streams)
-    (Stream_loop.rounds srv.streams)
-    (Cache.bypasses srv.cache);
-  Buffer.add_string b ",\"connections\":[";
-  List.iteri
-    (fun i (info : Listener.conn_info) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"id\":%d,\"peer\":%S,\"age_s\":%g,\"requests\":%d,\"idle_s\":%g}"
-        info.conn_id info.peer
-        (t -. info.connected_at)
-        info.conn_requests
-        (if info.last_s = 0.0 then t -. info.connected_at else t -. info.last_s))
-    (Listener.connections srv.listener);
-  Buffer.add_string b "],\"metrics\":";
-  Buffer.add_string b (Metrics.to_json srv.registry);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let connection (info : Listener.conn_info) =
+    Json.Obj
+      [
+        ("id", Json.int info.conn_id);
+        ("peer", Json.Str info.peer);
+        ("age_s", Json.Num (t -. info.connected_at));
+        ("requests", Json.int info.conn_requests);
+        ( "idle_s",
+          Json.Num
+            (if info.last_s = 0.0 then t -. info.connected_at else t -. info.last_s) );
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("state", Json.Str (state_name srv));
+         ("uptime_s", Json.Num (t -. srv.started_at));
+         ( "cache",
+           Json.Obj
+             [
+               ("entries", Json.int (Cache.length srv.cache));
+               ("capacity", Json.int (Cache.capacity srv.cache));
+               ("hits", Json.int (Cache.hits srv.cache));
+               ("misses", Json.int (Cache.misses srv.cache));
+               ("evictions", Json.int (Cache.evictions srv.cache));
+               ("hit_rate", Json.Num (Cache.hit_rate srv.cache));
+             ] );
+         ( "pool",
+           Json.Obj
+             [
+               ("domains", Json.int (Pool.domains srv.pool));
+               ("pending", Json.int (Pool.pending srv.pool));
+               ("queue_capacity", Json.int (Pool.queue_capacity srv.pool));
+             ] );
+         ( "streams",
+           Json.Obj
+             [
+               ("active", Json.int (Stream_loop.active_streams srv.streams));
+               ("rounds", Json.int (Stream_loop.rounds srv.streams));
+               ("bypasses", Json.int (Cache.bypasses srv.cache));
+             ] );
+         ( "connections",
+           Json.Arr (List.map connection (Listener.connections srv.listener)) );
+         ("metrics", Metrics.json srv.registry);
+       ])
 
 let stats_text srv fmt =
   refresh_snapshot_gauges srv;

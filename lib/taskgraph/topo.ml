@@ -4,7 +4,8 @@ module Bitset = Flb_prelude.Bitset
    min-heap of task ids in one array: each task enters it once, so V slots
    suffice, and the pass allocates its three arrays and nothing per task.
    Every scheduler's priorities and each streaming round run this pass;
-   [Binary_heap.Make (Int)] made it ten times slower per task. *)
+   a functor heap over a growable vector, with a bounds-checked call per
+   sift step, made it ten times slower per task. *)
 let order g =
   let n = Taskgraph.num_tasks g in
   let pred_off = Taskgraph.Csr.pred_offsets g in

@@ -5,6 +5,7 @@ let () =
       ("vec", Test_vec.suite);
       ("stats", Test_stats.suite);
       ("bitset", Test_bitset.suite);
+      ("json", Test_json.suite);
       ("heaps", Test_heaps.suite);
       ("taskgraph", Test_taskgraph.suite);
       ("topo-levels", Test_topo_levels.suite);

@@ -188,6 +188,30 @@ let test_analyze_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a negative duration"
 
+(* Spans with arbitrary finite ts/dur go through Trace.to_jsonl and come
+   back from of_jsonl with the same bits, start and finish alike. *)
+let qsuite =
+  let finite = QCheck.Gen.(map (fun f -> if Float.is_finite f then f else 0.5) float) in
+  [
+    qtest ~count:300 "trace spans read back bit-identical"
+      QCheck.(make Gen.(list (pair finite finite)))
+      (fun spans ->
+        let trace = Flb_obs.Trace.create ~clock:(fun () -> 0.0) () in
+        List.iteri
+          (fun i (ts, dur) ->
+            Flb_obs.Trace.add_span trace ~track:"D0" ~name:(Printf.sprintf "task %d" i) ~ts ~dur)
+          spans;
+        let bits = Int64.bits_of_float in
+        match A.of_jsonl (Flb_obs.Trace.to_jsonl trace) with
+        | Error _ -> false
+        | Ok run ->
+          List.length run.A.execs = List.length spans
+          && List.for_all2
+               (fun e (ts, dur) ->
+                 bits e.A.start = bits ts && bits e.A.finish = bits (ts +. dur))
+               run.A.execs spans);
+  ]
+
 let suite =
   [
     Alcotest.test_case "fig1 golden report" `Quick test_fig1_golden;
@@ -200,3 +224,4 @@ let suite =
     Alcotest.test_case "analyze validates its input" `Quick
       test_analyze_validation;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite

@@ -1,28 +1,6 @@
 open Testutil
-module Int_heap = Flb_heap.Binary_heap.Make (Int)
 module Indexed_heap = Flb_heap.Indexed_heap
 module Flat_heap = Flb_heap.Flat_heap
-
-(* --- Binary_heap --- *)
-
-let test_binary_basic () =
-  let h = Int_heap.create () in
-  check_bool "empty" true (Int_heap.is_empty h);
-  List.iter (Int_heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "length" 6 (Int_heap.length h);
-  Alcotest.(check (option int)) "min" (Some 1) (Int_heap.min_elt h);
-  Alcotest.(check (list int)) "drain sorted" [ 1; 2; 3; 5; 8; 9 ] (Int_heap.drain h);
-  check_bool "empty after drain" true (Int_heap.is_empty h)
-
-let test_binary_pop_exn () =
-  let h = Int_heap.create () in
-  check_raises_invalid "pop_exn empty" (fun () -> ignore (Int_heap.pop_exn h));
-  Int_heap.add h 4;
-  check_int "pop_exn" 4 (Int_heap.pop_exn h)
-
-let test_binary_of_array () =
-  let h = Int_heap.of_array [| 4; 2; 7; 1 |] in
-  Alcotest.(check (list int)) "heapified" [ 1; 2; 4; 7 ] (Int_heap.drain h)
 
 (* --- Indexed_heap --- *)
 
@@ -305,17 +283,10 @@ let qsuite =
               let c = Float.compare k1 k2 in
               if c <> 0 then c else Int.compare e1 e2)
             drained);
-    qtest "binary heap drain equals sort" QCheck.(list int) (fun l ->
-        let h = Int_heap.create () in
-        List.iter (Int_heap.add h) l;
-        Int_heap.drain h = List.sort compare l);
   ]
 
 let suite =
   [
-    Alcotest.test_case "binary: basic" `Quick test_binary_basic;
-    Alcotest.test_case "binary: pop_exn" `Quick test_binary_pop_exn;
-    Alcotest.test_case "binary: of_array" `Quick test_binary_of_array;
     Alcotest.test_case "indexed: basic" `Quick test_indexed_basic;
     Alcotest.test_case "indexed: errors" `Quick test_indexed_errors;
     Alcotest.test_case "indexed: id tie-break" `Quick test_indexed_tie_break_by_id;

@@ -8,6 +8,7 @@ module Trace = Flb_obs.Trace
 module Obs_metrics = Flb_obs.Metrics
 module Probe = Flb_obs.Probe
 module Log_histogram = Flb_prelude.Stats.Log_histogram
+module Json = Flb_prelude.Json
 
 let machine2 () = Machine.clique ~num_procs:2
 
@@ -244,6 +245,23 @@ let test_metrics_empty_histogram () =
   check_bool "count 0" true (contains_s prom "empty_count 0");
   check_bool "json degrades" true
     (contains_s (Obs_metrics.to_json reg) "{\"count\":0")
+
+(* The JSON form is read back by Flb_prelude.Json's strict reader: a
+   non-finite gauge is null, a name with a control byte and non-ASCII
+   UTF-8 survives byte for byte, and a gauge keeps all its digits. *)
+let test_metrics_json_strict () =
+  let reg = Obs_metrics.create () in
+  Obs_metrics.Gauge.set (Obs_metrics.gauge reg "ratio") Float.nan;
+  Obs_metrics.Counter.incr (Obs_metrics.counter reg "odd\x01name_\xc3\xa9");
+  Obs_metrics.Gauge.set (Obs_metrics.gauge reg "uptime_s") 123.456789012345;
+  match Json.of_string (Obs_metrics.to_json reg) with
+  | Error msg -> Alcotest.failf "Metrics.to_json is not JSON: %s" msg
+  | Ok json ->
+    check_bool "NaN gauge is null" true (Json.member "ratio" json = Some Json.Null);
+    check_bool "name kept byte for byte" true
+      (Json.member "odd\x01name_\xc3\xa9" json = Some (Json.int 1));
+    check_bool "gauge read back exactly" true
+      (Json.member "uptime_s" json = Some (Json.Num 123.456789012345))
 
 (* --- Trace context --- *)
 
@@ -547,7 +565,7 @@ let test_runtime_engine_metric_names () =
         (fun series ->
           check_bool (name ^ " exposes " ^ series) true (contains_s prom series))
         [
-          "rt_steal_fail_total";
+          "rt_failed_steals_total";
           "rt_affinity_hint_hits";
           "rt_affinity_hint_misses";
           "rt_affinity_hint_rate";
@@ -567,6 +585,7 @@ let suite =
       test_metrics_multidomain;
     Alcotest.test_case "metrics name sanitizing" `Quick test_metrics_sanitize;
     Alcotest.test_case "metrics escaping" `Quick test_metrics_escaping;
+    Alcotest.test_case "metrics JSON reads back strictly" `Quick test_metrics_json_strict;
     Alcotest.test_case "metrics empty histogram" `Quick test_metrics_empty_histogram;
     Alcotest.test_case "trace context: ids" `Quick test_trace_context_ids;
     Alcotest.test_case "trace context: request track" `Quick

@@ -15,6 +15,7 @@ module Balancer = Flb_router.Balancer
 module Gossip = Flb_router.Gossip
 module Router = Flb_router.Router
 module Metrics = Flb_obs.Metrics
+module Json = Flb_prelude.Json
 
 (* --- ring --- *)
 
@@ -304,6 +305,92 @@ let test_router_end_to_end () =
           check_int "both backends probe up" 2 (Router.probe_backends router);
           check_bool "balancer saw the shard" true
             (Balancer.shards_tracked (Router.balancer router) >= 1)))
+
+(* [s] with every occurrence of [sub] replaced by [by]. *)
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then begin
+      Buffer.add_string b by;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* The router's stats --json schema, as the daemon's: every key path
+   after one routed request, values aside. The gossip table and the
+   per-backend counters are keyed by backend address, so each backend's
+   ephemeral port reads as P1 or P2. *)
+let test_router_stats_schema () =
+  with_servers 2 (fun servers ->
+      let ports = List.map Server.port servers in
+      let backends = List.map (fun p -> ("127.0.0.1", p)) ports in
+      with_router backends (fun _router port ->
+          with_client port (fun c ->
+              ignore
+                (expect_scheduled
+                   (Client.schedule c ~graph:(fig1_text ()) ~algo:"FLB" ~procs:2));
+              match Client.get_stats c ~format:Wire.Stats_json with
+              | Error msg -> Alcotest.fail msg
+              | Ok text -> (
+                match Json.of_string text with
+                | Error msg -> Alcotest.failf "stats is not JSON: %s" msg
+                | Ok json ->
+                  let rename path =
+                    List.fold_left
+                      (fun path (i, p) ->
+                        replace_all ~sub:(Printf.sprintf ":%d" p)
+                          ~by:(Printf.sprintf ":P%d" (i + 1)) path)
+                      path
+                      (List.mapi (fun i p -> (i, p)) ports)
+                  in
+                  let ids = [ "127.0.0.1:P1"; "127.0.0.1:P2" ] in
+                  let metrics =
+                    [
+                      "router_backends_draining"; "router_backends_up";
+                      "router_cache_warms_total"; "router_connections_total";
+                      "router_drains_total"; "router_errors_total"; "router_failovers_total";
+                      "router_gossip_merges_total"; "router_gossip_rounds_total";
+                      "router_graph_parses_total"; "router_hedge_total"; "router_hedge_wins";
+                      "router_overloaded_total"; "router_requests_total";
+                      "router_scheduled_total"; "router_shards_split";
+                      "router_upstream_cache_hits_total";
+                      "router_backend__127_0_0_1:P1_failures_total";
+                      "router_backend__127_0_0_1:P1_requests_total";
+                      "router_backend__127_0_0_1:P2_failures_total";
+                      "router_backend__127_0_0_1:P2_requests_total";
+                    ]
+                    @ histogram_keys "router_request_seconds"
+                  in
+                  let golden =
+                    List.concat
+                      [
+                        [
+                          "role"; "uptime_s"; "policy"; "replication"; "split_factor";
+                          "vnodes"; "shards_tracked"; "splits"; "peers";
+                        ];
+                        key_section "gossip"
+                          [ "backends"; "splits"; "splits_epoch"; "exchanges"; "merges" ];
+                        List.concat_map
+                          (fun id -> key_section ("gossip.backends." ^ id) [ "status"; "epoch" ])
+                          ids;
+                        "backends"
+                        :: key_fields "backends[]"
+                             [
+                               "id"; "status"; "inflight"; "pending"; "hit_rate"; "requests";
+                               "failures"; "last_error";
+                             ];
+                        key_section "metrics" metrics;
+                      ]
+                  in
+                  Alcotest.(check (list string))
+                    "key paths" (List.sort compare golden)
+                    (List.sort compare (List.map rename (json_key_paths json)))))))
 
 let test_router_invalid_graph_answered_locally () =
   (* No live backend at all: parse errors must still be answered with a
@@ -988,6 +1075,7 @@ let suite =
     Alcotest.test_case "balancer: split rule" `Quick test_balancer_decide_split;
     Alcotest.test_case "backend: address parsing" `Quick test_backend_parse_addr;
     Alcotest.test_case "router: end to end on fig1" `Quick test_router_end_to_end;
+    Alcotest.test_case "router: stats JSON schema" `Quick test_router_stats_schema;
     Alcotest.test_case "router: invalid graph answered locally" `Quick
       test_router_invalid_graph_answered_locally;
     Alcotest.test_case "router: failover on refused connection" `Quick

@@ -10,6 +10,7 @@ module Pool = Flb_service.Pool
 module Server = Flb_service.Server
 module Client = Flb_service.Client
 module Listener = Flb_service.Listener
+module Json = Flb_prelude.Json
 
 (* --- wire codec round trips (qcheck) --- *)
 
@@ -618,6 +619,57 @@ let test_server_stats () =
               ]
           | Error msg -> Alcotest.fail msg))
 
+(* The stats --json schema is a contract (CI greps it, perfbench reads
+   the pool's "domains"): every key path of the answer after one
+   scheduled request, values aside. *)
+let test_server_stats_schema () =
+  with_server (fun _srv port ->
+      with_client port (fun c ->
+          (match Client.schedule c ~graph:(fig1_text ()) ~algo:"FLB" ~procs:2 with
+          | Ok (Wire.Scheduled _) -> ()
+          | Ok resp -> Alcotest.failf "unexpected: %s" (show_response resp)
+          | Error msg -> Alcotest.fail msg);
+          match Client.get_stats c ~format:Wire.Stats_json with
+          | Error msg -> Alcotest.fail msg
+          | Ok text -> (
+            match Json.of_string text with
+            | Error msg -> Alcotest.failf "stats is not JSON: %s" msg
+            | Ok json ->
+              let metrics =
+                [
+                  "cache_bypass_total"; "cache_evictions_total"; "cache_hits_total";
+                  "cache_misses_total"; "service_cache_entries"; "service_cache_hit_rate";
+                  "service_connections_active"; "service_connections_total";
+                  "service_errors_total"; "service_graph_parses_total";
+                  "service_overloaded_total"; "service_pool_pending"; "service_queue_depth";
+                  "service_requests_total"; "service_scheduled_total";
+                  "service_uptime_seconds"; "stream_active"; "stream_batch_streams";
+                  "stream_evicted_total"; "stream_frontier_size"; "stream_open_total";
+                  "stream_placed_total"; "stream_rounds_total";
+                ]
+                @ List.concat_map histogram_keys
+                    [
+                      "service_cache_seconds"; "service_exec_seconds";
+                      "service_queue_wait_seconds"; "service_request_seconds";
+                      "service_sched_seconds";
+                    ]
+              in
+              let golden =
+                List.concat
+                  [
+                    [ "state"; "uptime_s" ];
+                    key_section "cache"
+                      [ "entries"; "capacity"; "hits"; "misses"; "evictions"; "hit_rate" ];
+                    key_section "pool" [ "domains"; "pending"; "queue_capacity" ];
+                    key_section "streams" [ "active"; "rounds"; "bypasses" ];
+                    "connections"
+                    :: key_fields "connections[]" [ "id"; "peer"; "age_s"; "requests"; "idle_s" ];
+                    key_section "metrics" metrics;
+                  ]
+              in
+              Alcotest.(check (list string))
+                "key paths" (List.sort compare golden) (json_key_paths json))))
+
 let test_server_get_load () =
   with_server (fun _srv port ->
       with_client port (fun c ->
@@ -1219,6 +1271,7 @@ let suite =
     Alcotest.test_case "server: cache hit is byte-identical" `Quick
       test_server_cache_hit_byte_identical;
     Alcotest.test_case "server: stats snapshot" `Quick test_server_stats;
+    Alcotest.test_case "server: stats JSON schema" `Quick test_server_stats_schema;
     Alcotest.test_case "server: load probe" `Quick test_server_get_load;
     Alcotest.test_case "server: metrics gauges are live" `Quick
       test_server_metrics_live;

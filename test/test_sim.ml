@@ -127,6 +127,32 @@ let all_work_conserving (g : Taskgraph.t) m =
 
 let qsuite =
   [
+    (* Adds (Some t) and pops (None) in any interleaving: every pop
+       returns the pending event of least (time, insertion index). *)
+    qtest ~count:300 "event queue pops in (time, insertion) order"
+      QCheck.(list_of_size Gen.(int_bound 300) (option (int_range 0 20)))
+      (fun ops ->
+        let q = Event_queue.create () in
+        let pending = ref [] and added = ref 0 in
+        List.for_all
+          (function
+            | Some t ->
+              let e = (float_of_int t, !added) in
+              incr added;
+              Event_queue.add q ~time:(fst e) e;
+              pending := List.sort compare (e :: !pending);
+              true
+            | None -> (
+              match (Event_queue.pop q, !pending) with
+              | None, [] -> true
+              | Some (time, e), first :: rest ->
+                pending := rest;
+                e = first && time = fst first
+              | _ -> false))
+          ops
+        && Event_queue.length q = List.length !pending
+        && List.for_all (fun e -> Option.map snd (Event_queue.pop q) = Some e) !pending
+        && Event_queue.is_empty q);
     qtest ~count:100 "every scheduler's output replays exactly"
       arb_scheduling_case (fun (p, procs) ->
         let g = build_dag p in

@@ -69,3 +69,27 @@ let small_graph () =
   Taskgraph.of_arrays
     ~comp:[| 2.0; 3.0; 1.0; 1.0 |]
     ~edges:[| (0, 1, 1.0); (0, 2, 4.0); (1, 3, 2.0); (2, 3, 1.0) |]
+
+(* The key paths of a JSON document, sorted and without repeats: "a.b"
+   for a field of a nested object, "a[].b" for a field of an array
+   element. Values are ignored. *)
+let json_key_paths json =
+  let rec walk path acc = function
+    | Json.Obj fields ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let p = if path = "" then k else path ^ "." ^ k in
+          walk p (p :: acc) v)
+        acc fields
+    | Json.Arr items -> List.fold_left (walk (path ^ "[]")) acc items
+    | Json.Null | Json.Bool _ | Json.Num _ | Json.Str _ -> acc
+  in
+  List.sort_uniq compare (walk "" [] json)
+
+(* Golden key paths: [key_section name keys] is [name] and its fields;
+   a metrics histogram is a section of its count, sum and quantiles. *)
+let key_fields prefix keys = List.map (fun k -> prefix ^ "." ^ k) keys
+
+let key_section name keys = name :: key_fields name keys
+
+let histogram_keys name = key_section name [ "count"; "sum"; "min"; "max"; "p50"; "p95"; "p99" ]
