@@ -344,7 +344,8 @@ let () =
       let count name =
         Flb_obs.Metrics.(Counter.value (counter (Router.metrics router) name))
       in
-      let hedges = count "router_hedge_total" and wins = count "router_hedge_wins" in
+      let hedges = count "router_hedge_total"
+      and wins = count "router_hedge_wins_total" in
       stop ();
       (phase, hedges, wins)
     in

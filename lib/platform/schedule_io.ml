@@ -37,6 +37,7 @@ let of_string g machine text =
   let proc = Array.make (max n 1) (-1) in
   let start = Array.make (max n 1) 0.0 in
   let header_seen = ref false in
+  let st = [| 0.0 |] (* where [float_field] stores a start time *) in
   let sc = Text_syntax.scanner text in
   while Text_syntax.next_line sc do
     let line = Text_syntax.line sc in
@@ -54,12 +55,9 @@ let of_string g machine text =
     end
     else if fields = 4 && Text_syntax.field_is sc 0 "assign" then begin
       if not !header_seen then fail line "'assign' before 'schedule' header";
-      match
-        ( Text_syntax.int_field sc 1,
-          Text_syntax.int_field sc 2,
-          Text_syntax.float_field sc 3 )
-      with
-      | Some t, Some pr, Some st_val ->
+      match (Text_syntax.int_field sc 1, Text_syntax.int_field sc 2) with
+      | Some t, Some pr when Text_syntax.float_field sc 3 st 0 ->
+        let st_val = st.(0) in
         if t < 0 || t >= n then fail line "task %d out of range" t;
         if pr < 0 || pr >= p then fail line "processor %d out of range" pr;
         if proc.(t) >= 0 then fail line "duplicate assignment of task %d" t;

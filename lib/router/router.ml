@@ -720,7 +720,7 @@ let start ?metrics (config : config) =
       hedge_wins =
         Metrics.counter registry
           ~help:"hedged requests won by the second replica"
-          "router_hedge_wins";
+          "router_hedge_wins_total";
       gossip_rounds =
         Metrics.counter registry
           ~help:"gossip exchanges completed (either direction)"

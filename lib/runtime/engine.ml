@@ -90,11 +90,11 @@ let emit_metrics m o =
     o.failed_steals;
   Counter.add
     (counter m ~help:"tasks executed on their affinity-hinted domain"
-       "rt_affinity_hint_hits")
+       "rt_affinity_hint_hits_total")
     o.hint_hits;
   Counter.add
     (counter m ~help:"tasks executed away from their affinity-hinted domain"
-       "rt_affinity_hint_misses")
+       "rt_affinity_hint_misses_total")
     o.hint_misses;
   Gauge.set
     (gauge m ~help:"fraction of tasks executed on their hinted domain"

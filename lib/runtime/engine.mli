@@ -135,8 +135,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val emit_metrics : Flb_obs.Metrics.t -> outcome -> unit
 (** Record an outcome as [rt_*] series: counters [rt_tasks_total],
     [rt_steals_total], [rt_failed_steals_total], [rt_recovered_total],
-    [rt_killed_domains_total], [rt_affinity_hint_hits],
-    [rt_affinity_hint_misses]; gauges [rt_real_makespan_ns],
+    [rt_killed_domains_total], [rt_affinity_hint_hits_total],
+    [rt_affinity_hint_misses_total]; gauges [rt_real_makespan_ns],
     [rt_real_makespan_units], [rt_predicted_makespan_units],
     [rt_real_over_predicted], [rt_affinity_hint_rate] and per-domain
     [rt_idle_ns_d<i>] / [rt_busy_ns_d<i>]. *)

@@ -196,61 +196,56 @@ let handle_schedule srv ~ctx ~graph ~algo ~procs =
       | Some cached ->
         let breakdown = { Wire.no_breakdown with cache_s } in
         finish (scheduled_response ~cache_hit:true ~breakdown cached)
-      | None -> (
-        (* Only a miss needs the graph itself: bytes that hit were
-           parsed when their entry was filled. *)
-        Metrics.Counter.incr srv.graph_parses;
-        match Serial.of_string graph with
-        | exception Serial.Parse_error { line; message } ->
-          finish
-            (Wire.Error
-               {
-                 code = Wire.Invalid_graph;
-                 message = Printf.sprintf "graph line %d: %s" line message;
-               })
-        | g ->
-          let ivar = Ivar.create () in
-          let enqueued = now () in
-          let ts_enqueued = Trace.now srv.config.tracer in
-          let job () =
-            let queue_wait_s = now () -. enqueued in
-            Metrics.Histogram.observe srv.queue_wait_seconds queue_wait_s;
-            span srv ctx "queue-wait" ~ts:ts_enqueued ~dur:queue_wait_s [];
-            if queue_wait_s > srv.config.deadline_s then
+      | None ->
+        let ivar = Ivar.create () in
+        let enqueued = now () in
+        let ts_enqueued = Trace.now srv.config.tracer in
+        let job () =
+          let queue_wait_s = now () -. enqueued in
+          Metrics.Histogram.observe srv.queue_wait_seconds queue_wait_s;
+          span srv ctx "queue-wait" ~ts:ts_enqueued ~dur:queue_wait_s [];
+          if queue_wait_s > srv.config.deadline_s then
+            Ivar.fill ivar
+              (Wire.Error
+                 {
+                   code = Wire.Deadline_exceeded;
+                   message =
+                     Printf.sprintf "spent more than %gs queued" srv.config.deadline_s;
+                 })
+          else begin
+            let ts_exec = Trace.now srv.config.tracer in
+            let t_exec = now () in
+            (* Only a miss needs the graph itself (bytes that hit were
+               parsed when their entry was filled), and it is parsed
+               here, on a worker domain, so that connection threads
+               only move bytes. *)
+            Metrics.Counter.incr srv.graph_parses;
+            match compute srv ~ctx ~key ~procs (Serial.of_string graph) a with
+            | result, sched_s ->
+              let exec_s = now () -. t_exec in
+              Metrics.Histogram.observe srv.exec_seconds exec_s;
+              span srv ctx "execute" ~ts:ts_exec ~dur:exec_s [];
+              let breakdown = { Wire.queue_wait_s; cache_s; sched_s; exec_s } in
+              Ivar.fill ivar (scheduled_response ~cache_hit:false ~breakdown result)
+            | exception Serial.Parse_error { line; message } ->
               Ivar.fill ivar
                 (Wire.Error
                    {
-                     code = Wire.Deadline_exceeded;
-                     message =
-                       Printf.sprintf "spent more than %gs queued"
-                         srv.config.deadline_s;
+                     code = Wire.Invalid_graph;
+                     message = Printf.sprintf "graph line %d: %s" line message;
                    })
-            else begin
-              let ts_exec = Trace.now srv.config.tracer in
-              let t_exec = now () in
-              match compute srv ~ctx ~key ~procs g a with
-              | result, sched_s ->
-                let exec_s = now () -. t_exec in
-                Metrics.Histogram.observe srv.exec_seconds exec_s;
-                span srv ctx "execute" ~ts:ts_exec ~dur:exec_s [];
-                let breakdown =
-                  { Wire.queue_wait_s; cache_s; sched_s; exec_s }
-                in
-                Ivar.fill ivar
-                  (scheduled_response ~cache_hit:false ~breakdown result)
-              | exception e ->
-                Ivar.fill ivar
-                  (Wire.Error
-                     { code = Wire.Internal; message = Printexc.to_string e })
-            end
-          in
-          if not (Pool.submit srv.pool job) then finish Wire.Overloaded
-          else begin
-            Metrics.Gauge.set srv.queue_depth (float_of_int (Pool.pending srv.pool));
-            let resp = Ivar.read ivar in
-            Metrics.Gauge.set srv.queue_depth (float_of_int (Pool.pending srv.pool));
-            finish resp
-          end))
+            | exception e ->
+              Ivar.fill ivar
+                (Wire.Error { code = Wire.Internal; message = Printexc.to_string e })
+          end
+        in
+        if not (Pool.submit srv.pool job) then finish Wire.Overloaded
+        else begin
+          Metrics.Gauge.set srv.queue_depth (float_of_int (Pool.pending srv.pool));
+          let resp = Ivar.read ivar in
+          Metrics.Gauge.set srv.queue_depth (float_of_int (Pool.pending srv.pool));
+          finish resp
+        end)
 
 let request_stop t = Listener.request_stop t.listener
 
@@ -518,7 +513,7 @@ let start ?metrics config =
           "service_connections_total";
       graph_parses =
         Metrics.counter registry
-          ~help:"Schedule graphs parsed (once per cache miss, never on a hit)"
+          ~help:"Schedule graphs parsed (once per admitted cache miss, never on a hit)"
           "service_graph_parses_total";
       queue_depth =
         Metrics.gauge registry ~help:"jobs waiting in the pool queue"

@@ -6,12 +6,17 @@
     the actual scheduling runs on a {!Pool} of OCaml 5 domains behind a
     capacity-bounded queue.
 
-    The request path for [Schedule] is: validate → parse graph → probe
-    the {!Cache} (a hit answers immediately, bypassing the pool) →
+    The request path for [Schedule] is: validate the algorithm and P →
+    key the graph text and probe the {!Cache} (a hit answers
+    immediately, bypassing the pool, and its text is never parsed) →
     admission control (a full queue answers [Overloaded] without
-    blocking) → enqueue → a worker domain checks the queueing deadline,
-    computes the schedule plus makespan/speedup/NSL, caches it → the
-    connection thread sends the response.
+    blocking, so a shed request is not parsed either) → enqueue → a
+    worker domain checks the queueing deadline, parses the graph
+    (counted in [service_graph_parses_total]; a malformed one answers
+    [Error Invalid_graph]), computes the schedule plus
+    makespan/speedup/NSL and caches it → the connection thread sends
+    the response. Connection threads only read frames, key, probe and
+    write answers; the text-heavy work of a miss runs on the pool.
 
     {2 Observability}
 

@@ -117,8 +117,9 @@ type breakdown = {
   queue_wait_s : float;  (** Enqueue to pickup by a worker domain. *)
   cache_s : float;  (** Cache key + lookup. *)
   sched_s : float;  (** The scheduling algorithm proper. *)
-  exec_s : float;  (** The whole compute job (scheduling + NSL
-                       reference + cache fill). *)
+  exec_s : float;  (** The whole compute job: graph parse,
+                       scheduling, NSL reference, schedule text and
+                       cache fill. *)
 }
 
 val no_breakdown : breakdown

@@ -39,10 +39,10 @@ let of_string text =
   let comp_seen = ref [||] in
   (* Edges wait in flat arrays until every line has been checked. *)
   let srcs = ref [||] and dsts = ref [||] and ws = ref [||] and num_edges = ref 0 in
-  let parse_float line i what =
-    match Text_syntax.float_field sc i with
-    | Some f when Float.is_finite f -> f
-    | _ -> fail line "bad %s %S" what (Text_syntax.field sc i)
+  (* Reads field [i] into [a.(j)]. *)
+  let parse_float line i what a j =
+    if not (Text_syntax.float_field sc i a j && Float.is_finite a.(j)) then
+      fail line "bad %s %S" what (Text_syntax.field sc i)
   in
   let parse_int line i what =
     match Text_syntax.int_field sc i with
@@ -68,14 +68,13 @@ let of_string text =
       if id < 0 || id >= !num_tasks then fail line "task id %d out of range" id;
       if !comp_seen.(id) then fail line "duplicate task %d" id;
       !comp_seen.(id) <- true;
-      !comps.(id) <- parse_float line 2 "computation cost"
+      parse_float line 2 "computation cost" !comps id
     end
     else if Text_syntax.field_is sc 0 "edge" then begin
       if !num_tasks < 0 then fail line "'edge' before 'tasks'";
       if fields <> 4 then fail line "expected: edge <src> <dst> <comm>";
       let src = parse_int line 1 "source" in
       let dst = parse_int line 2 "destination" in
-      let w = parse_float line 3 "communication cost" in
       let e = !num_edges in
       if e = Array.length !srcs then begin
         let grow a fill =
@@ -87,9 +86,9 @@ let of_string text =
         dsts := grow !dsts 0;
         ws := grow !ws 0.0
       end;
+      parse_float line 3 "communication cost" !ws e;
       !srcs.(e) <- src;
       !dsts.(e) <- dst;
-      !ws.(e) <- w;
       num_edges := e + 1
     end
     else fail line "unknown directive %S" (Text_syntax.field sc 0)

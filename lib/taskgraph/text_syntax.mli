@@ -40,12 +40,19 @@ val int_field : scanner -> int -> int option
 (** [int_of_string_opt (field s i)]; plain decimal digits are read in
     place. *)
 
-val float_field : scanner -> int -> float option
-(** [float_of_string_opt (field s i)]. *)
+val float_field : scanner -> int -> float array -> int -> bool
+(** [float_field s i a j] stores [float_of_string_opt (field s i)] in
+    [a.(j)]: when that is [Some x] it sets [a.(j)] to [x] and returns
+    [true]; when it is [None] it returns [false] and leaves [a] alone.
+    A field [[+-]digits[.digits]] of at most 18 significant and 22
+    fraction digits is read in place, with no allocation.
+    @raise Invalid_argument if [j] is not an index of [a]. *)
 
 val add_int : Buffer.t -> int -> unit
 (** Appends the decimal form {!string_of_int} gives. *)
 
 val add_float : Buffer.t -> float -> unit
 (** Appends the float as [Printf] ["%.17g"] prints it; for a finite
-    float, {!float_of_string} reads that back bit for bit. *)
+    float, {!float_of_string} reads that back bit for bit. A float of
+    magnitude in [\[1e-4, 1e17)] (or zero) is written without
+    allocating. *)

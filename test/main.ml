@@ -12,6 +12,7 @@ let () =
       ("width", Test_width.suite);
       ("schedule", Test_schedule.suite);
       ("serial-dot", Test_serial_dot.suite);
+      ("text-syntax", Test_text_syntax.suite);
       ("reference", Test_differential.suite);
       ("simulator", Test_sim.suite);
       ("workloads", Test_workloads.suite);

@@ -566,8 +566,8 @@ let test_runtime_engine_metric_names () =
           check_bool (name ^ " exposes " ^ series) true (contains_s prom series))
         [
           "rt_failed_steals_total";
-          "rt_affinity_hint_hits";
-          "rt_affinity_hint_misses";
+          "rt_affinity_hint_hits_total";
+          "rt_affinity_hint_misses_total";
           "rt_affinity_hint_rate";
         ])
     [ ("steal", `Steal); ("affinity", `Affinity) ]

@@ -356,7 +356,8 @@ let test_router_stats_schema () =
                       "router_cache_warms_total"; "router_connections_total";
                       "router_drains_total"; "router_errors_total"; "router_failovers_total";
                       "router_gossip_merges_total"; "router_gossip_rounds_total";
-                      "router_graph_parses_total"; "router_hedge_total"; "router_hedge_wins";
+                      "router_graph_parses_total"; "router_hedge_total";
+                      "router_hedge_wins_total";
                       "router_overloaded_total"; "router_requests_total";
                       "router_scheduled_total"; "router_shards_split";
                       "router_upstream_cache_hits_total";
@@ -825,7 +826,7 @@ let test_router_hedging () =
                     check_bool "hedge counted" true
                       (Test_service.contains m "router_hedge_total 1");
                     check_bool "hedge win counted" true
-                      (Test_service.contains m "router_hedge_wins 1")
+                      (Test_service.contains m "router_hedge_wins_total 1")
                   | Error msg -> Alcotest.fail msg);
               ignore router)))
 
@@ -922,6 +923,51 @@ let test_router_parses_once () =
           check_int "second parse" 2 (counter_in m "router_graph_parses_total");
           check_int "shed counted as overloaded" 1
             (counter_in m "router_overloaded_total")))
+
+(* One naming scheme for metrics: every counter the daemon, the router
+   and the runtime engine expose is named [..._total]. *)
+let test_counters_end_in_total () =
+  let counters text =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; "counter" ] -> Some name
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  let check_all who text =
+    let names = counters text in
+    check_bool (who ^ " exposes counters") true (names <> []);
+    List.iter
+      (fun name ->
+        if not (String.ends_with ~suffix:"_total" name) then
+          Alcotest.failf "%s counter %s does not end in _total" who name)
+      names
+  in
+  with_servers 1 (fun servers ->
+      let backends = List.map (fun s -> ("127.0.0.1", Server.port s)) servers in
+      with_router backends (fun router port ->
+          with_client port (fun c ->
+              ignore
+                (expect_scheduled
+                   (Client.schedule c ~graph:(fig1_text ()) ~algo:"FLB" ~procs:2)));
+          check_all "router" (Metrics.to_prometheus (Router.metrics router));
+          List.iter
+            (fun s -> check_all "daemon" (Metrics.to_prometheus (Server.metrics s)))
+            servers));
+  let module R = Flb_runtime in
+  let g = Example.fig1 () in
+  let sched =
+    Flb_experiments.Registry.flb.Flb_experiments.Registry.run g
+      (Flb_platform.Machine.clique ~num_procs:2)
+  in
+  let reg = Metrics.create () in
+  ignore
+    (R.Affinity.run
+       ~config:
+         { R.Engine.default_config with domains = 2; unit_ns = 2000.0; metrics = Some reg }
+       sched);
+  check_all "engine" (Metrics.to_prometheus reg)
 
 (* Router shards and daemon cache entries agree for any text: both keys
    take their digest from [Cache.text_digest], canonical or not. *)
@@ -1104,6 +1150,7 @@ let suite =
       test_router_hedging;
     Alcotest.test_case "router: graphs parsed once, on misses only" `Quick
       test_router_parses_once;
+    Alcotest.test_case "every counter ends in _total" `Quick test_counters_end_in_total;
     Alcotest.test_case "connection churn closes each descriptor once" `Quick
       test_connection_churn;
     Alcotest.test_case "old wire versions get one Bad_request" `Quick

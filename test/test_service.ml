@@ -813,6 +813,21 @@ let test_server_structured_errors () =
           Alcotest.(check (result unit string)) "still serving" (Ok ())
             (Client.ping c)))
 
+let graph_parses srv =
+  Flb_obs.Metrics.Counter.value
+    (Flb_obs.Metrics.counter (Server.metrics srv) "service_graph_parses_total")
+
+(* A miss is parsed on a worker domain; a malformed graph still answers
+   Invalid_graph from there, after exactly one parse. *)
+let test_server_bad_graph_parsed_once () =
+  with_server (fun srv port ->
+      with_client port (fun c ->
+          let before = graph_parses srv in
+          expect_error Wire.Invalid_graph
+            (Client.schedule c ~graph:"tasks 2\ntask 0 1\ntask 1 oops\n" ~algo:"FLB"
+               ~procs:2);
+          check_int "one parse" (before + 1) (graph_parses srv)))
+
 let test_server_rejects_raw_garbage () =
   with_server (fun _srv port ->
       (* garbage payload in a well-formed frame: structured error, and the
@@ -1013,6 +1028,60 @@ let test_server_admission_control () =
               (Schedule.validate s = Ok ())
           | _ -> ())
         results)
+
+(* Admission comes before parsing: with the one worker busy and the
+   one queue slot taken, a malformed graph is shed as Overloaded
+   without being parsed. *)
+let test_server_sheds_before_parsing () =
+  let config =
+    {
+      Server.default_config with
+      domains = 1;
+      queue_capacity = 1;
+      work_delay_s = 0.5;
+      deadline_s = 30.0;
+    }
+  in
+  with_server ~config (fun srv port ->
+      let wait_until what cond =
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while not (cond ()) do
+          if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+          Thread.delay 0.005
+        done
+      in
+      let results = Array.make 2 (Error "never ran") in
+      let fire i =
+        Thread.create
+          (fun () ->
+            with_client port (fun c ->
+                results.(i) <-
+                  Client.schedule c ~graph:(distinct_graph (60 + i)) ~algo:"FLB" ~procs:2))
+          ()
+      in
+      (* request 0 is picked up (and parsed) by the worker, which then
+         sleeps; request 1 waits in the queue *)
+      let t0 = fire 0 in
+      wait_until "the worker's parse" (fun () -> graph_parses srv = 1);
+      let t1 = fire 1 in
+      with_client port (fun c ->
+          wait_until "a queued job" (fun () ->
+              match Client.get_load c with
+              | Ok load -> load.Wire.pending = 1
+              | Error msg -> Alcotest.fail msg);
+          match Client.schedule c ~graph:"not a graph" ~algo:"FLB" ~procs:2 with
+          | Ok Wire.Overloaded -> ()
+          | Ok resp -> Alcotest.failf "expected Overloaded, got %s" (show_response resp)
+          | Error msg -> Alcotest.fail msg);
+      check_int "the shed graph was not parsed" 1 (graph_parses srv);
+      List.iter Thread.join [ t0; t1 ];
+      Array.iter
+        (function
+          | Ok (Wire.Scheduled _) -> ()
+          | Ok resp -> Alcotest.failf "unexpected: %s" (show_response resp)
+          | Error msg -> Alcotest.fail msg)
+        results;
+      check_int "one parse per admitted miss" 2 (graph_parses srv))
 
 let test_server_queue_deadline () =
   let config =
@@ -1283,6 +1352,8 @@ let suite =
       test_server_request_tracing;
     Alcotest.test_case "server: structured errors" `Quick
       test_server_structured_errors;
+    Alcotest.test_case "server: a bad graph is parsed once" `Quick
+      test_server_bad_graph_parsed_once;
     Alcotest.test_case "server: garbage payload" `Quick
       test_server_rejects_raw_garbage;
     Alcotest.test_case "server: truncated frame" `Quick test_server_truncated_frame;
@@ -1291,6 +1362,8 @@ let suite =
       test_listener;
     Alcotest.test_case "server: admission control sheds load" `Quick
       test_server_admission_control;
+    Alcotest.test_case "server: a full pool sheds before parsing" `Quick
+      test_server_sheds_before_parsing;
     Alcotest.test_case "server: queueing deadline" `Quick test_server_queue_deadline;
     Alcotest.test_case "server: graceful shutdown" `Quick
       test_server_graceful_shutdown;
