@@ -725,9 +725,7 @@ let execute_cmd =
           seed;
           tracer;
           metrics = registry;
-          flight_capacity = Flb_obs.Flight_recorder.default_capacity;
           flight_path;
-          trace_id = 0L;
         }
       in
       let o =

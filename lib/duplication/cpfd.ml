@@ -59,6 +59,3 @@ let run ?(max_dups_per_task = 8) g machine =
   List.iter ensure
     (List.sort (fun a b -> compare (-.blevel.(a), a) (-.blevel.(b), b)) rest);
   s
-
-let schedule_length ?max_dups_per_task g machine =
-  Dup_schedule.makespan (run ?max_dups_per_task g machine)

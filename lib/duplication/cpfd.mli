@@ -22,8 +22,6 @@ val run : ?max_dups_per_task:int -> Taskgraph.t -> Machine.t -> Dup_schedule.t
 (** The result passes {!Dup_schedule.validate}. [max_dups_per_task]
     defaults to 8. *)
 
-val schedule_length : ?max_dups_per_task:int -> Taskgraph.t -> Machine.t -> float
-
 (** Node classification, exposed for tests and instrumentation. *)
 type node_class = Cpn  (** on the chosen critical path *) | Ibn | Obn
 

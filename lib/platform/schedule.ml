@@ -267,6 +267,26 @@ let min_est_over_procs s t =
 
 let makespan s = Array.fold_left Float.max 0.0 s.prt
 
+(* Claimed start-time order, so insertion-based schedules replay their
+   intended interleaving. Zero-duration tasks make bare start times
+   ambiguous; finish time and topological position break the ties
+   dependency-consistently. *)
+let execution_order s =
+  let n = Taskgraph.num_tasks s.graph in
+  for t = 0 to n - 1 do
+    if s.proc.(t) < 0 then
+      invalid_arg (Printf.sprintf "Schedule.execution_order: task %d unscheduled" t)
+  done;
+  let topo_position = Array.make n 0 in
+  Array.iteri (fun i t -> topo_position.(t) <- i) (Topo.order s.graph);
+  Array.init (num_procs s) (fun p ->
+      List.sort
+        (fun a b ->
+          compare
+            (s.start.(a), s.finish.(a), topo_position.(a))
+            (s.start.(b), s.finish.(b), topo_position.(b)))
+        (tasks_on s p))
+
 let validate s =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in

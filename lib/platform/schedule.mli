@@ -152,6 +152,14 @@ val min_est_into : t -> task -> dest:float array -> int
 val makespan : t -> float
 (** Parallel completion time [max_p PRT p]; 0 for the empty schedule. *)
 
+val execution_order : t -> task list array
+(** Per-processor execution order of a complete schedule: each
+    processor's tasks sorted by (start, finish, topological position),
+    which stays dependency-consistent even for zero-duration tasks. The
+    simulator, the static engine and the runtime's replays all execute
+    this order.
+    @raise Invalid_argument if some task is unscheduled. *)
+
 val validate : t -> (unit, string list) result
 (** Checks that the schedule is complete and feasible: every task
     scheduled exactly once on a real processor; no two tasks overlap on

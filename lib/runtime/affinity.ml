@@ -11,18 +11,33 @@ let max_backoff = 1024
    instead of a hot loop on the victims' locks. *)
 let probe_attempts = 4
 
-(* Heaviest in-edge of each task: the data that was staged toward the
-   hinted processor, hence the cost a thief pays to pull it elsewhere.
-   Entry tasks carry no data, so stealing seed work is free. *)
-let migration_costs g =
-  let n = Taskgraph.num_tasks g in
-  let cost = Array.make n 0.0 in
-  for t = 0 to n - 1 do
-    let m = ref 0.0 in
-    Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
-    cost.(t) <- !m
-  done;
-  cost
+(* A task's staged data is its heaviest in-edge, sent toward the hinted
+   processor; a thief elsewhere pays to pull it over. Entry tasks carry
+   no data, so stealing seed work is free. *)
+let migration_price sched =
+  let g = Schedule.graph sched in
+  let machine = Schedule.machine sched in
+  let cost =
+    Array.init (Taskgraph.num_tasks g) (fun t ->
+        let m = ref 0.0 in
+        Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
+        !m)
+  in
+  fun ~thief t ->
+    let h = Schedule.proc sched t in
+    if h = thief then 0.0 else Machine.comm_time machine ~src:h ~dst:thief ~cost:cost.(t)
+
+(* Seeded from the schedule, not round-robin: each domain starts with
+   its scheduled entry tasks. The list is reversed so the owner's LIFO
+   back pops them in schedule order, which leaves the deque's FIFO front
+   — what thieves take — holding the work this domain would reach
+   last. *)
+let seed sched =
+  let g = Schedule.graph sched in
+  Array.map
+    (fun tasks ->
+      Deque.of_list (List.rev (List.filter (Taskgraph.is_entry g) tasks)))
+    (Schedule.execution_order sched)
 
 let run ?(config = Engine.default_config) sched =
   let g = Schedule.graph sched in
@@ -31,12 +46,11 @@ let run ?(config = Engine.default_config) sched =
     invalid_arg
       (Printf.sprintf "Affinity.run: config has %d domains but the schedule uses %d"
          config.Engine.domains procs);
-  let machine = Schedule.machine sched in
   let dnum = procs in
   let st =
     State.create config ~engine:"affinity" ~predicted:(Schedule.makespan sched) g
   in
-  let mig_cost = migration_costs g in
+  let price = migration_price sched in
   (* Migration pricing: stealing a task whose hint is elsewhere starts a
      transfer of its staged data, and the task may not begin before the
      transfer lands. The deadline is stamped at steal time and checked
@@ -46,18 +60,7 @@ let run ?(config = Engine.default_config) sched =
      removed it from the victim and before the thief re-publishes it,
      while no other domain can hold it. *)
   let mig_deadline = Array.make (Taskgraph.num_tasks g) 0.0 in
-  (* Seeded from the schedule, not round-robin: each domain starts with
-     its scheduled entry tasks. The list is reversed so the owner's LIFO
-     back pops them in schedule order, which leaves the deque's FIFO
-     front — what thieves take — holding the work this domain would
-     reach last. *)
-  let deques =
-    Array.map
-      (fun tasks ->
-        Deque.of_list
-          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
-      (Engine.plan_of_schedule sched)
-  in
+  let deques = seed sched in
   (* QUARK-LOCALITY routing: a newly enabled task goes to its hinted
      domain's mailbox — the processor the schedule chose — falling back
      to the enabling domain when the hint is dead. *)
@@ -65,13 +68,10 @@ let run ?(config = Engine.default_config) sched =
     let h = Schedule.proc sched s in
     Deque.push_back deques.(if State.is_dead st h then d else h) s
   in
-  let worker d =
+  State.run_team st (fun d ~busy ->
     let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
-    State.wait_start st;
-    let busy = ref 0.0 in
     let backoff = ref 0 in
     let fails = ref 0 in
-    let t_begin = Clock.now_ns () in
     let run_one ~slowdown t =
       backoff := 0;
       fails := 0;
@@ -93,15 +93,12 @@ let run ?(config = Engine.default_config) sched =
         let now = Clock.now_ns () in
         List.iter
           (fun t ->
-            let h = Schedule.proc sched t in
-            if h <> d then
-              let units = Machine.comm_time machine ~src:h ~dst:d ~cost:mig_cost.(t) in
-              if units > 0.0 then
-                mig_deadline.(t) <- now +. (units *. config.Engine.unit_ns))
+            let units = price ~thief:d t in
+            if units > 0.0 then mig_deadline.(t) <- now +. (units *. config.Engine.unit_ns))
           ts
       end
     in
-    let step ~slowdown =
+    fun ~slowdown ->
       match Deque.pop_back deques.(d) with
       | Some t -> run_one ~slowdown t
       | None ->
@@ -132,16 +129,12 @@ let run ?(config = Engine.default_config) sched =
             else Engine.relax !fails
           | t :: rest as batch ->
             ignore (Atomic.fetch_and_add st.State.steals 1);
-            let count = float_of_int (List.length batch) in
-            State.trace_instant st ~domain:d
-              ~args:[ ("count", count); ("victim", float_of_int victim) ]
-              "steal-half";
+            let args = [ ("task", float_of_int t); ("victim", float_of_int victim) ] in
+            State.trace_instant st ~domain:d ~args "steal";
             if State.is_dead st victim then begin
               ignore
                 (Atomic.fetch_and_add st.State.recovered (List.length batch));
-              State.trace_instant st ~domain:d
-                ~args:[ ("task", float_of_int t); ("victim", float_of_int victim) ]
-                "recover"
+              State.trace_instant st ~domain:d ~args "recover"
             end;
             charge_migration batch;
             (* Keep the oldest stolen task for immediate execution and
@@ -150,17 +143,4 @@ let run ?(config = Engine.default_config) sched =
                remains reserved for the hot tasks the thief enables. *)
             Deque.push_front_batch deques.(d) rest;
             run_one ~slowdown t
-        end
-    in
-    State.worker_loop st ~domain:d ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
-  in
-  let team =
-    Flb_prelude.Workers.spawn ~count:dnum ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
-  in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+        end)

@@ -1,3 +1,4 @@
+open! Flb_taskgraph
 open! Flb_platform
 
 (** Locality-aware work-stealing engine: FLB's schedule demoted from
@@ -24,6 +25,20 @@ open! Flb_platform
 
     [hint_hits]/[hint_misses] in the outcome count tasks executed on
     their scheduled processor vs. elsewhere. *)
+
+val seed : Schedule.t -> Deque.t array
+(** The per-domain deques at the start of a run: each processor's
+    scheduled entry tasks, reversed so the owner's LIFO pops yield
+    schedule order. *)
+
+val migration_price : Schedule.t -> thief:int -> Taskgraph.task -> float
+(** [migration_price sched] precomputes each task's heaviest in-edge;
+    [~thief t] is then the [Machine.comm_time] that moving that data
+    from [t]'s hinted processor to [thief] costs, in weight units (0 on
+    the hint itself, and for entry tasks). A thief that steals [t] may
+    not start it before that long after the steal.
+    [Virtual_clock.run_affinity] seeds and prices with these same
+    definitions. *)
 
 val run : ?config:Engine.config -> Schedule.t -> Engine.outcome
 (** Executes the schedule's DAG with [Schedule.proc] as affinity hints;

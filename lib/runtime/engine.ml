@@ -20,9 +20,7 @@ type config = {
   seed : int;
   tracer : Trace.t;
   metrics : Metrics.t option;
-  flight_capacity : int;
   flight_path : string option;
-  trace_id : int64;
 }
 
 let default_config =
@@ -35,9 +33,7 @@ let default_config =
     seed = 1;
     tracer = Trace.null;
     metrics = None;
-    flight_capacity = Flight.default_capacity;
     flight_path = None;
-    trace_id = 0L;
   }
 
 type outcome = {
@@ -126,26 +122,6 @@ let emit_metrics m o =
       Gauge.set (gauge m ~help:"busy ns of this domain" (Printf.sprintf "rt_busy_ns_d%d" d)) ns)
     o.per_domain_busy_ns
 
-let plan_of_schedule sched =
-  let g = Schedule.graph sched in
-  let n = Taskgraph.num_tasks g in
-  for t = 0 to n - 1 do
-    if not (Schedule.is_scheduled sched t) then
-      invalid_arg (Printf.sprintf "Engine.plan_of_schedule: task %d unscheduled" t)
-  done;
-  let topo_position = Array.make n 0 in
-  Array.iteri (fun i t -> topo_position.(t) <- i) (Topo.order g);
-  (* Same order as Simulator.run: claimed start-time order with finish
-     time and topological position breaking zero-duration ties
-     dependency-consistently. *)
-  Array.init (Schedule.num_procs sched) (fun p ->
-      List.sort
-        (fun a b ->
-          compare
-            (Schedule.start_time sched a, Schedule.finish_time sched a, topo_position.(a))
-            (Schedule.start_time sched b, Schedule.finish_time sched b, topo_position.(b)))
-        (Schedule.tasks_on sched p))
-
 (* Cooperative wait: spin briefly, then nap. On a dedicated core the
    spins win and the sleep never triggers; on an oversubscribed or
    single-core host the nap yields the CPU, so dependency hand-offs cost
@@ -213,7 +189,7 @@ module State = struct
       go = Atomic.make false;
       start_ns = 0.0;
       cal = (if cfg.unit_ns > 0.0 then Calibrate.default () else Calibrate.instant);
-      flight = Flight.create ~capacity:cfg.flight_capacity ~domains:cfg.domains ();
+      flight = Flight.create ~domains:cfg.domains ();
       trace_lock = Mutex.create ();
       steals = Atomic.make 0;
       failed_steals = Atomic.make 0;
@@ -228,21 +204,6 @@ module State = struct
       d_idle_ns = Array.make cfg.domains 0.0;
     }
 
-  (* Domain.spawn costs milliseconds — far more than small DAGs burn —
-     so workers park on a start gate and the epoch is stamped only once
-     the whole team is up; the measured makespan is then last-finish
-     minus epoch, free of spawn and join overhead. *)
-  let release st =
-    st.start_ns <- Clock.now_ns ();
-    Atomic.set st.go true
-
-  let wait_start st =
-    let n = ref 0 in
-    while not (Atomic.get st.go) do
-      incr n;
-      relax !n
-    done
-
   let now_units st =
     if st.cfg.unit_ns > 0.0 then (Clock.now_ns () -. st.start_ns) /. st.cfg.unit_ns
     else 0.0
@@ -255,7 +216,6 @@ module State = struct
       ("engine", st.engine);
       ("domains", string_of_int st.cfg.domains);
       ("unit_ns", Flb_prelude.Json.to_string (Flb_prelude.Json.Num st.cfg.unit_ns));
-      ("trace_id", Flb_obs.Trace_context.id_to_string st.cfg.trace_id);
     ]
 
   (* Post-mortem dump of the rings. Serialized on [trace_lock] so two
@@ -282,10 +242,6 @@ module State = struct
     | "steal" ->
       Flight.record st.flight ~domain Flight.Steal ~ts ~dur:0.0
         ~a:(int_of_float (arg "task")) ~b:(arg "victim")
-    | "steal-half" ->
-      (* Batch steal: [a] carries the batch size instead of a task id. *)
-      Flight.record st.flight ~domain Flight.Steal ~ts ~dur:0.0
-        ~a:(int_of_float (arg "count")) ~b:(arg "victim")
     | "recover" ->
       Flight.record st.flight ~domain Flight.Recover ~ts ~dur:0.0
         ~a:(int_of_float (arg "task")) ~b:(arg "victim")
@@ -371,39 +327,6 @@ module State = struct
   let count_hint st ~hit =
     ignore (Atomic.fetch_and_add (if hit then st.hint_hits else st.hint_misses) 1)
 
-  (* Shared worker skeleton of the dynamic engines (and the static one,
-     which passes its own [finished] predicate): decide the fault state,
-     then dispatch one step while work remains. The fault decision comes
-     before the completion check: a kill that is due must register
-     (fail-stop is a property of the domain, not of the remaining work),
-     even if the other domains already finished everything while this one
-     was being scheduled. *)
-  let worker_loop st ~domain ?finished ~step () =
-    let df = Fault.for_domain st.cfg.faults domain in
-    let finished =
-      match finished with
-      | Some f -> f
-      | None -> fun () -> Atomic.get st.completed >= st.total
-    in
-    let rec loop () =
-      match Fault.decide df ~now:(now_units st) with
-      | Fault.Die -> mark_dead st domain
-      | Fault.Stall_until until ->
-        trace_instant st ~domain ~args:[ ("until", until) ] "stall";
-        let n = ref 0 in
-        while now_units st < until && now_units st < df.Fault.kill_at do
-          incr n;
-          relax !n
-        done;
-        loop ()
-      | Fault.Proceed slowdown ->
-        if not (finished ()) then begin
-          step ~slowdown;
-          loop ()
-        end
-    in
-    loop ()
-
   let outcome st ~wall_ns =
     let last_finish = Array.fold_left Float.max 0.0 st.finish_ns in
     let makespan_ns =
@@ -435,4 +358,67 @@ module State = struct
     Option.iter (fun m -> emit_metrics m o) st.cfg.metrics;
     dump_flight ~reason:"end" st;
     o
+
+  (* The fault decision comes before the completion check: a kill that
+     is due must register (fail-stop is a property of the domain, not of
+     the remaining work), even if the other domains already finished
+     everything while this one was being scheduled. *)
+  let worker_loop st ~domain ~finished ~step =
+    let df = Fault.for_domain st.cfg.faults domain in
+    let rec loop () =
+      match Fault.decide df ~now:(now_units st) with
+      | Fault.Die -> mark_dead st domain
+      | Fault.Stall_until until ->
+        trace_instant st ~domain ~args:[ ("until", until) ] "stall";
+        let n = ref 0 in
+        while now_units st < until && now_units st < df.Fault.kill_at do
+          incr n;
+          relax !n
+        done;
+        loop ()
+      | Fault.Proceed slowdown ->
+        if not (finished ()) then begin
+          step ~slowdown;
+          loop ()
+        end
+    in
+    loop ()
+
+  (* Domain.spawn costs milliseconds — far more than small DAGs burn —
+     so workers park on a start gate and the epoch is stamped only once
+     the whole team is up; the measured makespan is then last-finish
+     minus epoch, free of spawn and join overhead. A worker whose body
+     raises is marked dead so survivors recover its work instead of
+     spinning on a completion count that can no longer be reached. Each
+     worker sums its busy time in a local ref and publishes it once, at
+     exit. *)
+  let run_team ?finished st worker =
+    let finished =
+      match finished with
+      | Some f -> f
+      | None -> fun () -> Atomic.get st.completed >= st.total
+    in
+    let body d =
+      let busy = ref 0.0 in
+      let step = worker d ~busy in
+      let n = ref 0 in
+      while not (Atomic.get st.go) do
+        incr n;
+        relax !n
+      done;
+      let t_begin = Clock.now_ns () in
+      worker_loop st ~domain:d ~finished ~step;
+      let wall = Clock.now_ns () -. t_begin in
+      st.d_busy_ns.(d) <- !busy;
+      st.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
+    in
+    let team =
+      Flb_prelude.Workers.spawn ~count:st.cfg.domains
+        ~on_exn:(fun d _ -> mark_dead st d)
+        body
+    in
+    st.start_ns <- Clock.now_ns ();
+    Atomic.set st.go true;
+    Flb_prelude.Workers.join team;
+    outcome st ~wall_ns:(Clock.now_ns () -. st.start_ns)
 end

@@ -66,26 +66,21 @@ type config = {
           killed instants *)
   metrics : Flb_obs.Metrics.t option;
       (** receives the [rt_*] series, see {!emit_metrics} *)
-  flight_capacity : int;
-      (** ring slots per domain in the always-on
-          {!Flb_obs.Flight_recorder} *)
   flight_path : string option;
-      (** where flight-recorder dumps go. When set, the rings are
-          dumped on every [killed] and [stall] event (a fault is the
-          moment the recent past becomes worth keeping — this includes
-          engine panics, which {!State.mark_dead} the domain) and once
-          more at the end of the run; [None] never writes a file but
-          the rings still record *)
-  trace_id : int64;
-      (** request-scoped {!Flb_obs.Trace_context} id stamped into
-          flight-dump metadata; 0 when the run has no originating
-          request *)
+      (** where dumps of the always-on {!Flb_obs.Flight_recorder}
+          (one {!Flb_obs.Flight_recorder.default_capacity}-slot ring
+          per domain) go. When set, the rings are dumped on every
+          [killed] and [stall] event (a fault is the moment the recent
+          past becomes worth keeping — this includes engine panics,
+          which {!State.mark_dead} the domain) and once more at the end
+          of the run; [None] never writes a file but the rings still
+          record *)
 }
 
 val default_config : config
 (** 4 domains, 1000 ns/unit, communication charged, no faults,
-    steal-queues recovery, seed 1, disabled tracer, no metrics,
-    256-slot flight rings with no dump path, no trace id. *)
+    steal-queues recovery, seed 1, disabled tracer, no metrics, no
+    flight dump path. *)
 
 type outcome = {
   engine : string;  (** ["static"], ["steal"] or ["affinity"] *)
@@ -141,14 +136,6 @@ val emit_metrics : Flb_obs.Metrics.t -> outcome -> unit
     [rt_real_over_predicted], [rt_affinity_hint_rate] and per-domain
     [rt_idle_ns_d<i>] / [rt_busy_ns_d<i>]. *)
 
-val plan_of_schedule : Schedule.t -> int list array
-(** Per-processor execution order extracted from a complete schedule,
-    sorted exactly as [Flb_sim.Simulator.run] sorts ((start, finish,
-    topological position) — dependency-consistent even for zero-duration
-    tasks), so the static engine and the virtual clock replay the same
-    interleaving the simulator checks.
-    @raise Invalid_argument if some task is unscheduled. *)
-
 val relax : int -> unit
 (** Cooperative wait step for worker loops: [fruitless] is the number of
     consecutive iterations that found nothing to do. Spins
@@ -159,7 +146,12 @@ val relax : int -> unit
 
 (** {1 Shared run-state plumbing}
 
-    Used by {!Static} and {!Steal}; not meant for external callers. *)
+    Used by {!Static}, {!Steal} and {!Affinity}; not meant for external
+    callers. Each engine builds a {!State.t}, then hands
+    {!State.run_team} its per-worker setup; the team lifecycle (spawn,
+    start gate, fault polling, busy/idle accounting, join, outcome) is
+    written once, and only an engine's step function and per-task hot
+    path are its own. *)
 
 module State : sig
   type t = {
@@ -176,8 +168,8 @@ module State : sig
     completed : int Atomic.t;
     dead : bool Atomic.t array;
     deaths : int Atomic.t;  (** count of domains marked dead so far *)
-    go : bool Atomic.t;  (** start gate; workers park until {!release} *)
-    mutable start_ns : float;  (** run epoch, set by {!release} *)
+    go : bool Atomic.t;  (** start gate; workers park until {!run_team} opens it *)
+    mutable start_ns : float;  (** run epoch, stamped as the gate opens *)
     cal : Calibrate.t;
     flight : Flb_obs.Flight_recorder.t;
         (** always-on per-domain rings of recent events; dumped to
@@ -207,17 +199,8 @@ module State : sig
       sane for the team size, [unit_ns > 0] when faults are present) and
       builds the shared arrays. @raise Invalid_argument on a bad config. *)
 
-  val release : t -> unit
-  (** Stamp the run epoch and open the start gate. Call once, after
-      spawning the whole worker team: [Domain.spawn] costs milliseconds,
-      so letting workers park on the gate keeps spawn overhead out of
-      the measured makespan. *)
-
-  val wait_start : t -> unit
-  (** Park until {!release}; every worker's first action. *)
-
   val now_units : t -> float
-  (** Elapsed weight units since {!start} (0 when [unit_ns = 0]). *)
+  (** Elapsed weight units since the run epoch (0 when [unit_ns = 0]). *)
 
   val is_dead : t -> int -> bool
 
@@ -253,31 +236,38 @@ module State : sig
   val count_hint : t -> hit:bool -> unit
   (** Bump the affinity-hint hit or miss counter for one executed task. *)
 
-  val worker_loop :
-    t -> domain:int -> ?finished:(unit -> bool) -> step:(slowdown:float -> unit) -> unit -> unit
-  (** The worker skeleton every engine shares: poll the domain's fault
-      clock ([Die] marks the domain dead and returns, [Stall_until]
-      relax-waits out the window), then call [step ~slowdown] while
-      [finished ()] is false (default: all tasks completed). The fault
-      decision deliberately precedes the completion check — a kill that
-      is due registers even when no work remains. *)
-
   val trace_instant : t -> domain:int -> ?args:(string * float) list -> string -> unit
   (** Emit a named instant: always into the domain's flight ring
-      (recognized names — [steal], [steal-half] (with [count] /
-      [victim] args), [recover], [stall], [killed], [resched] — map to
-      typed ring events, with [task] / [victim] / [until] / [frontier] /
-      [latency_ns] args carried along), and into the tracer when
-      enabled. [killed] and [stall] trigger a flight dump. *)
+      (recognized names — [steal], [recover], [stall], [killed],
+      [resched] — map to typed ring events, with [task] / [victim] /
+      [until] / [frontier] / [latency_ns] args carried along), and into
+      the tracer when enabled. A steal, single or batch, is one [steal]
+      instant naming the task the thief runs and its victim, so live
+      traces and flight dumps read alike. [killed] and [stall] trigger
+      a flight dump. *)
 
   val dump_flight : ?reason:string -> t -> unit
   (** Write the flight rings to [cfg.flight_path] now (no-op without a
       path). Dumps carry a meta line with the reason, engine, domain
-      count, unit_ns and trace id. Never raises. *)
+      count and unit_ns. Never raises. *)
 
-  val outcome : t -> wall_ns:float -> outcome
-  (** Assemble the outcome and, when configured, {!emit_metrics}.
-      [real_ns] is the last task's finish timestamp minus the epoch
-      (spawn/join overhead excluded); [wall_ns] is the fallback when no
-      task executed at all. *)
+  val run_team :
+    ?finished:(unit -> bool) ->
+    t ->
+    (int -> busy:float ref -> slowdown:float -> unit) ->
+    outcome
+  (** Run the whole team to its outcome. For each domain [d] a worker
+      calls [worker d ~busy] once, before the start gate, to build its
+      step function; after the gate it polls the domain's fault clock
+      ([Die] marks the domain dead and exits, [Stall_until] relax-waits
+      out the window) and calls [step ~slowdown] while [finished ()] is
+      false (default: all tasks completed). The fault decision precedes
+      the completion check, so a kill that is due registers even when no
+      work remains. [busy] is the worker's own sum of task
+      nanoseconds, published once at exit with the idle remainder. A
+      worker that raises is {!mark_dead}. The epoch is stamped only
+      once the whole team is up ([Domain.spawn] costs milliseconds), so
+      [real_ns] is last task finish minus epoch; the wall time since
+      the epoch stands in when no task executed. The outcome also goes
+      to [cfg.metrics] ({!emit_metrics}) and a final flight dump. *)
 end

@@ -5,6 +5,41 @@ module Snapshot = Flb_reschedule.Snapshot
 module Reschedule = Flb_reschedule.Reschedule
 module Metrics = Flb_obs.Metrics
 
+let check_recover = function
+  | Engine.Resched algo when Reschedule.find algo = None ->
+    invalid_arg
+      (Printf.sprintf "unknown reschedule algorithm %S (available: %s)" algo
+         (String.concat ", " Reschedule.names))
+  | Engine.Resched _ | Engine.Steal_queues | Engine.No_recovery -> ()
+
+(* A task downstream of an unexecuted task can never have executed, so
+   the sweep never dooms finished work. *)
+let doom g ~doomed roots =
+  let newly = ref 0 in
+  let stack = ref [] in
+  let push t =
+    if not doomed.(t) then begin
+      doomed.(t) <- true;
+      incr newly;
+      stack := t :: !stack
+    end
+  in
+  List.iter push roots;
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | t :: rest ->
+      stack := rest;
+      Taskgraph.iter_succs g t (fun s _ -> push s)
+  done;
+  !newly
+
+let replan ~algo snap =
+  let sched = Reschedule.run ~algo snap in
+  Array.map
+    (List.filter (fun t -> not (Schedule.is_frozen sched t)))
+    (Schedule.execution_order sched)
+
 let run ?(config = Engine.default_config) sched =
   let g = Schedule.graph sched in
   let procs = Schedule.num_procs sched in
@@ -12,15 +47,8 @@ let run ?(config = Engine.default_config) sched =
     invalid_arg
       (Printf.sprintf "Static.run: config has %d domains but the schedule uses %d"
          config.domains procs);
-  (match config.recover with
-  | Engine.Resched algo when Reschedule.find algo = None ->
-    invalid_arg
-      (Printf.sprintf "Static.run: unknown reschedule algorithm %S (available: %s)"
-         algo
-         (String.concat ", " Reschedule.names))
-  | _ -> ());
-  let plan = Engine.plan_of_schedule sched in
-  let queues = Array.map Deque.of_list plan in
+  check_recover config.recover;
+  let queues = Array.map Deque.of_list (Schedule.execution_order sched) in
   let st = State.create config ~engine:"static" ~predicted:(Schedule.makespan sched) g in
   let n = st.State.total in
   (* Death reactions (No_recovery's abandonment sweep, Resched's frontier
@@ -45,29 +73,12 @@ let run ?(config = Engine.default_config) sched =
   let abandon_dead_work () =
     (* Anything still queued on a dead domain will never run, and
        neither will its dependence cone; doom the cone so survivors can
-       drop past doomed queue fronts. A task downstream of an unexecuted
-       task can never have executed, so the sweep never dooms finished
-       work. *)
-    let newly = ref 0 in
-    let stack = ref [] in
-    let push t =
-      if not doomed.(t) then begin
-        doomed.(t) <- true;
-        incr newly;
-        stack := t :: !stack
-      end
-    in
-    for v = 0 to procs - 1 do
-      if State.is_dead st v then List.iter push (Deque.to_list queues.(v))
+       drop past doomed queue fronts. *)
+    let roots = ref [] in
+    for v = procs - 1 downto 0 do
+      if State.is_dead st v then roots := Deque.to_list queues.(v) @ !roots
     done;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | t :: rest ->
-        stack := rest;
-        Taskgraph.iter_succs g t (fun s _ -> push s)
-    done;
-    ignore (Atomic.fetch_and_add abandoned !newly)
+    ignore (Atomic.fetch_and_add abandoned (doom g ~doomed !roots))
   in
   let reschedule_frontier ~algo ~domain =
     Atomic.set paused true;
@@ -114,13 +125,7 @@ let run ?(config = Engine.default_config) sched =
           Snapshot.make ~dead:!dead ~ready:!ready ~frozen:!frozen g
             (Schedule.machine sched)
         in
-        let sched' = Reschedule.run ~algo snap in
-        let plan' = Engine.plan_of_schedule sched' in
-        Array.iteri
-          (fun v tasks ->
-            Deque.reset queues.(v)
-              (List.filter (fun t -> not (Schedule.is_frozen sched' t)) tasks))
-          plan';
+        Array.iteri (fun v tasks -> Deque.reset queues.(v) tasks) (replan ~algo snap);
         let dt = Clock.now_ns () -. t0 in
         ignore (Atomic.fetch_and_add st.State.rescheds 1);
         Option.iter (fun h -> Metrics.Histogram.observe h dt) resched_latency;
@@ -159,11 +164,13 @@ let run ?(config = Engine.default_config) sched =
             Atomic.set deaths_handled d_now
           end)
   in
-  let worker d =
-    State.wait_start st;
-    let busy = ref 0.0 in
+  let finished () =
+    match config.recover with
+    | Engine.No_recovery -> Atomic.get st.State.completed + Atomic.get abandoned >= n
+    | Engine.Steal_queues | Engine.Resched _ -> Atomic.get st.State.completed >= n
+  in
+  State.run_team ~finished st (fun d ~busy ->
     let fruitless = ref 0 in
-    let t_begin = Clock.now_ns () in
     let run_one ~slowdown ~recovering t =
       fruitless := 0;
       if recovering then begin
@@ -231,33 +238,11 @@ let run ?(config = Engine.default_config) sched =
           done;
           if not !taken then idle ()
     in
-    let finished () =
-      match config.recover with
-      | Engine.No_recovery ->
-        Atomic.get st.State.completed + Atomic.get abandoned >= n
-      | Engine.Steal_queues | Engine.Resched _ -> Atomic.get st.State.completed >= n
-    in
-    let step ~slowdown =
+    fun ~slowdown ->
       (match config.recover with
       | Engine.No_recovery | Engine.Resched _ -> maybe_coordinate d
       | Engine.Steal_queues -> ());
       match config.recover with
       | Engine.No_recovery -> step_none ~slowdown
       | Engine.Steal_queues -> step_steal ~slowdown
-      | Engine.Resched _ -> step_resched ~slowdown
-    in
-    State.worker_loop st ~domain:d ~finished ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
-  in
-  (* A worker whose body raises is marked dead so survivors recover its
-     queue instead of spinning on a completion count that can no longer
-     be reached. *)
-  let team =
-    Flb_prelude.Workers.spawn ~count:procs ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
-  in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+      | Engine.Resched _ -> step_resched ~slowdown)

@@ -1,3 +1,4 @@
+open! Flb_taskgraph
 open! Flb_platform
 
 (** Static engine: execute a compile-time schedule on real domains.
@@ -22,3 +23,22 @@ val run : ?config:Engine.config -> Schedule.t -> Engine.outcome
     predicted makespan in the outcome is [Schedule.makespan].
     @raise Invalid_argument on a domain-count mismatch, an incomplete
     schedule, or a bad config (see {!Engine.State.create}). *)
+
+(** {1 Recovery policy pieces}
+
+    Shared with [Virtual_clock.run_static], which replays the same
+    reactions to a death. *)
+
+val check_recover : Engine.recovery -> unit
+(** @raise Invalid_argument when [Resched] names no registered
+    rescheduling algorithm. *)
+
+val doom : Taskgraph.t -> doomed:bool array -> Taskgraph.task list -> int
+(** [doom g ~doomed roots] marks [roots] and their whole dependence cone
+    in [doomed] — the work {!Engine.No_recovery} abandons when the
+    roots' domain dies — and returns how many tasks it newly marked. *)
+
+val replan : algo:string -> Flb_reschedule.Snapshot.t -> Taskgraph.task list array
+(** {!Engine.Resched}'s reaction: reschedule the snapshot's frontier
+    with [algo] and return each processor's new queue in
+    {!Schedule.execution_order}, frozen tasks dropped. *)

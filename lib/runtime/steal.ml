@@ -4,24 +4,25 @@ module Rng = Flb_prelude.Rng
 
 let max_backoff = 1024
 
-let run ?(config = Engine.default_config) g =
-  let dnum = config.Engine.domains in
-  let st = State.create config ~engine:"steal" ~predicted:Float.nan g in
-  let deques = Array.init dnum (fun _ -> Deque.create ()) in
-  (* Entry tasks dealt round-robin so every domain has seed work. *)
+(* Entry tasks dealt round-robin so every domain has seed work. *)
+let seed ~domains g =
+  let deques = Array.init domains (fun _ -> Deque.create ()) in
   let next = ref 0 in
   for t = 0 to Taskgraph.num_tasks g - 1 do
-    if Taskgraph.in_degree g t = 0 then begin
-      Deque.push_back deques.(!next mod dnum) t;
+    if Taskgraph.is_entry g t then begin
+      Deque.push_back deques.(!next mod domains) t;
       incr next
     end
   done;
-  let worker d =
+  deques
+
+let run ?(config = Engine.default_config) g =
+  let dnum = config.Engine.domains in
+  let st = State.create config ~engine:"steal" ~predicted:Float.nan g in
+  let deques = seed ~domains:dnum g in
+  State.run_team st (fun d ~busy ->
     let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
-    State.wait_start st;
-    let busy = ref 0.0 in
     let backoff = ref 0 in
-    let t_begin = Clock.now_ns () in
     (* The hint of a task is the deque it was placed in (its enabling
        domain, or its round-robin seed slot): popping one's own deque is
        a locality hit, having to steal is a miss. *)
@@ -35,7 +36,7 @@ let run ?(config = Engine.default_config) g =
              t;
       st.State.d_tasks.(d) <- st.State.d_tasks.(d) + 1
     in
-    let step ~slowdown =
+    fun ~slowdown ->
       match Deque.pop_back deques.(d) with
       | Some t -> run_one ~slowdown ~hit:true t
       | None ->
@@ -50,32 +51,15 @@ let run ?(config = Engine.default_config) g =
           match Deque.take_front deques.(victim) with
           | Some t ->
             ignore (Atomic.fetch_and_add st.State.steals 1);
+            let args = [ ("task", float_of_int t); ("victim", float_of_int victim) ] in
+            State.trace_instant st ~domain:d ~args "steal";
             if State.is_dead st victim then begin
               ignore (Atomic.fetch_and_add st.State.recovered 1);
-              State.trace_instant st ~domain:d
-                ~args:[ ("task", float_of_int t); ("victim", float_of_int victim) ]
-                "recover"
-            end
-            else
-              State.trace_instant st ~domain:d
-                ~args:[ ("task", float_of_int t); ("victim", float_of_int victim) ]
-                "steal";
+              State.trace_instant st ~domain:d ~args "recover"
+            end;
             run_one ~slowdown ~hit:false t
           | None ->
             ignore (Atomic.fetch_and_add st.State.failed_steals 1);
             backoff := Int.min (!backoff + 1) max_backoff;
             Engine.relax !backoff
-        end
-    in
-    State.worker_loop st ~domain:d ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
-  in
-  let team =
-    Flb_prelude.Workers.spawn ~count:dnum ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
-  in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+        end)

@@ -22,6 +22,11 @@ open! Flb_taskgraph
     the engine's natural locality rate, comparable with {!Affinity}'s
     schedule-hint rate. *)
 
+val seed : domains:int -> Taskgraph.t -> Deque.t array
+(** The per-domain deques at the start of a run: entry tasks dealt
+    round-robin by id. [Virtual_clock.run_steal] seeds its replay with
+    it too. *)
+
 val run : ?config:Engine.config -> Taskgraph.t -> Engine.outcome
 (** [predicted_units] in the outcome is [nan]: dynamic balancing
     predicts nothing. @raise Invalid_argument on a bad config (see

@@ -1,7 +1,6 @@
 open! Flb_taskgraph
 open! Flb_platform
 module Snapshot = Flb_reschedule.Snapshot
-module Reschedule = Flb_reschedule.Reschedule
 
 type outcome = {
   start : float array;
@@ -29,6 +28,11 @@ let next_allowed (df : Fault.domain_faults) x =
     (fun x (at, dur) -> if x >= at && x < at +. dur then at +. dur else x)
     x df.Fault.stalls
 
+let check_faults faults ~domains =
+  match Fault.validate faults ~domains with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e)
+
 (* Deterministic rendition of [Static.run]: a global event loop over
    per-domain claim events and death events, processed in increasing
    virtual time (deaths before claims on ties, then lowest domain, then a
@@ -47,16 +51,10 @@ let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
   let machine = Schedule.machine sched in
   let n = Taskgraph.num_tasks g in
   let p = Schedule.num_procs sched in
-  (match Fault.validate faults ~domains:p with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
-  (match recover with
-  | Engine.Resched algo when Reschedule.find algo = None ->
-    invalid_arg
-      (Printf.sprintf "Virtual_clock: unknown reschedule algorithm %S" algo)
-  | _ -> ());
+  check_faults faults ~domains:p;
+  Static.check_recover recover;
   let df = Array.init p (Fault.for_domain faults) in
-  let queues = Array.map Array.of_list (Engine.plan_of_schedule sched) in
+  let queues = Array.map Array.of_list (Schedule.execution_order sched) in
   let qpos = Array.make p 0 in
   let vt = Array.make p 0.0 in
   let dead = Array.make p false in
@@ -88,26 +86,14 @@ let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
     if qpos.(v) < Array.length queues.(v) then Some queues.(v).(qpos.(v)) else None
   in
   let doom_dead_queues () =
-    let stack = ref [] in
-    let push t =
-      if not doomed.(t) && exec_domain.(t) < 0 then begin
-        doomed.(t) <- true;
-        stack := t :: !stack
-      end
-    in
+    let roots = ref [] in
     for v = 0 to p - 1 do
       if dead.(v) then
         for i = qpos.(v) to Array.length queues.(v) - 1 do
-          push queues.(v).(i)
+          roots := queues.(v).(i) :: !roots
         done
     done;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | t :: rest ->
-        stack := rest;
-        Taskgraph.iter_succs g t (fun s _ -> push s)
-    done
+    ignore (Static.doom g ~doomed !roots)
   in
   let reschedule algo ~now =
     let live = ref 0 in
@@ -132,15 +118,11 @@ let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
             :: !frozen
       done;
       let snap = Snapshot.make ~dead:!dead_l ~ready:!ready_l ~frozen:!frozen g machine in
-      let sched' = Reschedule.run ~algo snap in
-      let plan' = Engine.plan_of_schedule sched' in
       Array.iteri
         (fun v tasks ->
-          queues.(v) <-
-            Array.of_list
-              (List.filter (fun t -> not (Schedule.is_frozen sched' t)) tasks);
+          queues.(v) <- Array.of_list tasks;
           qpos.(v) <- 0)
-        plan';
+        (Static.replan ~algo snap);
       incr rescheds
     end
   in
@@ -250,39 +232,32 @@ let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
     per_domain_tasks;
   }
 
-(* Deterministic rendition of [Steal.run]. Dead domains stop acting but
-   their deques stay stealable, so recovery is the stealing engine's
-   natural behaviour. *)
-let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
-  if domains < 1 then
-    invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
-  (match Fault.validate faults ~domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
+(* The one event loop of the stealing disciplines: domains act in
+   lowest-virtual-time-first order (ties to the lowest id, stall windows
+   pushing an acting time forward); an acting domain whose kill is due
+   dies, any other pops its own deque LIFO or, when that is empty, calls
+   the discipline's [steal]. A taken task starts at the later of the
+   domain's clock, the discipline's [floor] for it and its predecessors'
+   arrivals (a cross-domain edge charges its weight when [charge_comm]),
+   counts as a hint hit or miss by the discipline's [hit], and hands the
+   successors it enables to [route]. Dead domains stop acting but their
+   deques stay stealable. *)
+let run_stealing ~charge_comm ~faults ~steal ~floor ~route ~hit deques g =
+  let domains = Array.length deques in
+  check_faults faults ~domains;
   let df = Array.init domains (Fault.for_domain faults) in
   let n = Taskgraph.num_tasks g in
   let pending = Array.init n (Taskgraph.in_degree g) in
-  let deques = Array.init domains (fun _ -> Deque.create ()) in
-  let next = ref 0 in
-  for t = 0 to n - 1 do
-    if Taskgraph.in_degree g t = 0 then begin
-      Deque.push_back deques.(!next mod domains) t;
-      incr next
-    end
-  done;
   let vt = Array.make domains 0.0 in
   let dead = Array.make domains false in
   let exec_domain = Array.make n (-1) in
   let start = Array.make n Float.nan in
   let finish = Array.make n Float.nan in
   let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let killed = ref 0 in
-  let executed = ref 0 in
+  let steals = ref 0 and killed = ref 0 and executed = ref 0 in
+  let hint_hits = ref 0 and hint_misses = ref 0 in
   let running = ref true in
   while !running && !executed < n do
-    (* The earliest-free alive domain acts next; ties to the lowest id.
-       Stall windows push its acting time forward. *)
     let d = ref (-1) in
     let at = ref Float.infinity in
     for i = 0 to domains - 1 do
@@ -296,52 +271,44 @@ let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
     done;
     if !d < 0 then running := false
     else begin
-      let d = !d in
-      if !at >= df.(d).Fault.kill_at then begin
+      let d = !d and at = !at in
+      if at >= df.(d).Fault.kill_at then begin
         dead.(d) <- true;
         incr killed
       end
       else begin
-        let task =
+        let t, stolen =
           match Deque.pop_back deques.(d) with
-          | Some _ as t -> t
-          | None ->
-            let found = ref None in
-            for k = 1 to domains - 1 do
-              if !found = None then begin
-                match Deque.take_front deques.((d + k) mod domains) with
-                | Some _ as t ->
-                  incr steals;
-                  found := t
-                | None -> ()
-              end
-            done;
-            !found
+          | Some t -> (t, false)
+          | None -> (
+            match steal ~dead d at with
+            | Some t ->
+              incr steals;
+              (t, true)
+            | None ->
+              (* Every unexecuted indegree-0 task sits in some deque (dead
+                 ones included, which stay stealable), so an alive domain
+                 always finds work while tasks remain. *)
+              invalid_arg "Virtual_clock: no runnable task")
         in
-        match task with
-        | None ->
-          (* Every unexecuted indegree-0 task sits in some deque (dead
-             ones included, which stay stealable), so an alive domain
-             always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_steal: no runnable task"
-        | Some t ->
-          let ready = ref 0.0 in
-          Taskgraph.iter_preds g t (fun pd w ->
-              let r =
-                if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-                else finish.(pd)
-              in
-              ready := Float.max !ready r);
-          let s = next_allowed df.(d) (Float.max !at !ready) in
-          start.(t) <- s;
-          finish.(t) <- s +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
-          vt.(d) <- finish.(t);
-          exec_domain.(t) <- d;
-          per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-          incr executed;
-          Taskgraph.iter_succs g t (fun su _ ->
-              pending.(su) <- pending.(su) - 1;
-              if pending.(su) = 0 then Deque.push_back deques.(d) su)
+        let ready = ref (floor t) in
+        Taskgraph.iter_preds g t (fun pd w ->
+            let r =
+              if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
+              else finish.(pd)
+            in
+            ready := Float.max !ready r);
+        let s = next_allowed df.(d) (Float.max at !ready) in
+        start.(t) <- s;
+        finish.(t) <- s +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
+        vt.(d) <- finish.(t);
+        exec_domain.(t) <- d;
+        per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
+        if hit d ~stolen t then incr hint_hits else incr hint_misses;
+        incr executed;
+        Taskgraph.iter_succs g t (fun su _ ->
+            pending.(su) <- pending.(su) - 1;
+            if pending.(su) = 0 then route ~dead d su)
       end
     end
   done;
@@ -361,168 +328,82 @@ let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
     rescheds = 0;
     recovered = 0;
     steals = !steals;
-    (* A task's hint is the deque it was placed in, so each steal is
-       exactly one miss — matching the real engine's accounting. *)
-    hint_hits = !executed - !steals;
-    hint_misses = !steals;
-    per_domain_tasks;
-  }
-
-(* Deterministic rendition of [Affinity.run]: domains act in
-   lowest-virtual-time-first order (ties to the lowest id); each deque is
-   seeded with its scheduled entry tasks and a newly enabled task is
-   routed to the deque of its hinted (scheduled) processor, or of the
-   enabling domain while the hinted one is dead. An empty domain steals
-   half of the {e deepest} other deque — the load-aware victim rule, with
-   the random two-victim probe collapsed to its deterministic limit —
-   runs the oldest stolen task and keeps the rest at its own front. Each
-   stolen task whose hint is not the thief is stamped with a transfer
-   deadline — steal instant plus [Machine.comm_time] for its heaviest
-   in-edge — and may not start before it, exactly as the real engine
-   prices migration (transfers overlap with whatever the thief runs
-   first). Dead domains stop acting but their deques stay stealable; a
-   batch stolen from a dead victim counts wholly as [recovered]. *)
-let run_affinity ?(charge_comm = true) ?(faults = Fault.none) sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let domains = Schedule.num_procs sched in
-  (match Fault.validate faults ~domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
-  let df = Array.init domains (Fault.for_domain faults) in
-  let mig_cost =
-    Array.init n (fun t ->
-        let m = ref 0.0 in
-        Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
-        !m)
-  in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  (* Reversed so the owner's LIFO back yields schedule order, as in the
-     real engine's seeding. *)
-  let deques =
-    Array.map
-      (fun tasks ->
-        Deque.of_list
-          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
-      (Engine.plan_of_schedule sched)
-  in
-  let vt = Array.make domains 0.0 in
-  let mig_deadline = Array.make n 0.0 in
-  let dead = Array.make domains false in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let killed = ref 0 in
-  let recovered = ref 0 in
-  let hint_hits = ref 0 in
-  let hint_misses = ref 0 in
-  let executed = ref 0 in
-  let running = ref true in
-  while !running && !executed < n do
-    let d = ref (-1) in
-    let at = ref Float.infinity in
-    for i = 0 to domains - 1 do
-      if not dead.(i) then begin
-        let a = next_allowed df.(i) vt.(i) in
-        if a < !at then begin
-          at := a;
-          d := i
-        end
-      end
-    done;
-    if !d < 0 then running := false
-    else begin
-      let d = !d in
-      if !at >= df.(d).Fault.kill_at then begin
-        dead.(d) <- true;
-        incr killed
-      end
-      else begin
-        let task =
-          match Deque.pop_back deques.(d) with
-          | Some _ as t -> t
-          | None ->
-            let victim = ref (-1) and depth = ref 0 in
-            for k = 1 to domains - 1 do
-              let v = (d + k) mod domains in
-              let len = Deque.length deques.(v) in
-              if len > !depth then begin
-                depth := len;
-                victim := v
-              end
-            done;
-            if !victim < 0 then None
-            else begin
-              match Deque.steal_half deques.(!victim) with
-              | [] -> None
-              | t :: rest as batch ->
-                incr steals;
-                if dead.(!victim) then recovered := !recovered + List.length batch;
-                if charge_comm then
-                  List.iter
-                    (fun s ->
-                      let h = Schedule.proc sched s in
-                      if h <> d then
-                        mig_deadline.(s) <-
-                          !at
-                          +. Machine.comm_time machine ~src:h ~dst:d
-                               ~cost:mig_cost.(s))
-                    batch;
-                Deque.push_front_batch deques.(d) rest;
-                Some t
-            end
-        in
-        match task with
-        | None ->
-          (* Every unexecuted indegree-0 task sits in some deque (dead
-             ones included, which stay stealable), so an alive domain
-             always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_affinity: no runnable task"
-        | Some t ->
-          let ready = ref mig_deadline.(t) in
-          Taskgraph.iter_preds g t (fun pd w ->
-              let r =
-                if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-                else finish.(pd)
-              in
-              ready := Float.max !ready r);
-          let s = next_allowed df.(d) (Float.max !at !ready) in
-          start.(t) <- s;
-          finish.(t) <- s +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
-          vt.(d) <- finish.(t);
-          exec_domain.(t) <- d;
-          per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-          if Schedule.proc sched t = d then incr hint_hits else incr hint_misses;
-          incr executed;
-          Taskgraph.iter_succs g t (fun su _ ->
-              pending.(su) <- pending.(su) - 1;
-              if pending.(su) = 0 then begin
-                let h = Schedule.proc sched su in
-                Deque.push_back deques.(if dead.(h) then d else h) su
-              end)
-      end
-    end
-  done;
-  let makespan = Array.fold_left Float.max 0.0 vt in
-  (* Kills due before the team would have disbanded still register. *)
-  for i = 0 to domains - 1 do
-    if (not dead.(i)) && df.(i).Fault.kill_at <= makespan then incr killed
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan;
-    completed = !executed;
-    total = n;
-    killed = !killed;
-    rescheds = 0;
-    recovered = !recovered;
-    steals = !steals;
     hint_hits = !hint_hits;
     hint_misses = !hint_misses;
     per_domain_tasks;
   }
+
+(* [Steal.run]'s discipline: round-robin seeding, successors kept by the
+   domain that enabled them, and a thief that takes the front of the
+   first non-empty deque scanning from its right neighbour. A task's hint
+   is the deque it was placed in, so each steal is exactly one miss —
+   matching the real engine's accounting. *)
+let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
+  if domains < 1 then
+    invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
+  let deques = Steal.seed ~domains g in
+  let steal ~dead:_ d _ =
+    let found = ref None in
+    for k = 1 to domains - 1 do
+      if !found = None then found := Deque.take_front deques.((d + k) mod domains)
+    done;
+    !found
+  in
+  run_stealing ~charge_comm ~faults ~steal
+    ~floor:(fun _ -> 0.0)
+    ~route:(fun ~dead:_ d t -> Deque.push_back deques.(d) t)
+    ~hit:(fun _ ~stolen _ -> not stolen)
+    deques g
+
+(* [Affinity.run]'s discipline: schedule seeding, and each newly enabled
+   task routed to its hinted (scheduled) processor's deque, or the
+   enabling domain's while the hinted one is dead. An empty domain steals
+   half of the {e deepest} other deque — the load-aware victim rule, with
+   the random two-victim probe collapsed to its deterministic limit —
+   runs the oldest stolen task and keeps the rest at its own front. Each
+   stolen task with a migration price may not start before the steal
+   instant plus that price, which the readiness floor enforces; so, as
+   in the real engine, transfers overlap with whatever the thief runs
+   first. A batch stolen from a dead victim counts wholly as
+   [recovered]. *)
+let run_affinity ?(charge_comm = true) ?(faults = Fault.none) sched =
+  let deques = Affinity.seed sched in
+  let domains = Array.length deques in
+  let price = Affinity.migration_price sched in
+  let mig_deadline = Array.make (Taskgraph.num_tasks (Schedule.graph sched)) 0.0 in
+  let recovered = ref 0 in
+  let steal ~dead d at =
+    let victim = ref (-1) and depth = ref 0 in
+    for k = 1 to domains - 1 do
+      let v = (d + k) mod domains in
+      let len = Deque.length deques.(v) in
+      if len > !depth then begin
+        depth := len;
+        victim := v
+      end
+    done;
+    if !victim < 0 then None
+    else
+      match Deque.steal_half deques.(!victim) with
+      | [] -> None
+      | t :: rest as batch ->
+        if dead.(!victim) then recovered := !recovered + List.length batch;
+        if charge_comm then
+          List.iter
+            (fun s ->
+              let units = price ~thief:d s in
+              if units > 0.0 then mig_deadline.(s) <- at +. units)
+            batch;
+        Deque.push_front_batch deques.(d) rest;
+        Some t
+  in
+  let route ~dead d s =
+    let h = Schedule.proc sched s in
+    Deque.push_back deques.(if dead.(h) then d else h) s
+  in
+  let o =
+    run_stealing ~charge_comm ~faults ~steal ~floor:(Array.get mig_deadline) ~route
+      ~hit:(fun d ~stolen:_ t -> Schedule.proc sched t = d)
+      deques (Schedule.graph sched)
+  in
+  { o with recovered = !recovered }

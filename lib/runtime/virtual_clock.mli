@@ -11,8 +11,10 @@ open! Flb_platform
     spec, [Fault.none] by default, whose times are in weight units,
     directly on the virtual clock.
 
-    {!run_static} replays a schedule over the per-processor order
-    {!Engine.plan_of_schedule} extracts. Without faults each task starts
+    {!run_static} replays a schedule over its
+    {!Schedule.execution_order}, and reacts to a death through the same
+    {!Static.doom} and {!Static.replan} the static engine calls. Without
+    faults each task starts
     at [max (finish of the previous task on its processor) (arrival of
     each predecessor's message)] — the fixpoint the event-driven
     [Flb_sim.Simulator.run] computes, using the identical float
@@ -22,16 +24,27 @@ open! Flb_platform
     asserts this equivalence on random DAGs for every registered
     scheduler and every recovery policy.
 
+    {!run_steal} and {!run_affinity} share one event loop, written once:
+    domains act in lowest-virtual-time-first order (ties to the lowest
+    id); an acting domain whose kill is due dies, any other pops its own
+    deque LIFO or, when that is empty, steals by its discipline's rule; a
+    taken task starts at [max (domain's clock) (readiness time)] where
+    readiness is the discipline's floor for the task (affinity's
+    migration deadline) and charges cross-domain predecessor edges their
+    communication weight when [charge_comm]; the tasks it enables go
+    where the discipline routes them, and its hint rule counts it a hit
+    or a miss. Each discipline supplies only its seeding, theft, floor,
+    routing and hint rule, seeding and pricing with the very functions
+    its real engine calls ({!Steal.seed}, {!Affinity.seed},
+    {!Affinity.migration_price}).
+
     {!run_steal} is an idealized deterministic rendition of the stealing
-    engine: domains act in lowest-virtual-time-first order (ties to the
-    lowest id); an acting domain pops its own deque LIFO, or steals the
-    front of the first non-empty deque scanning round-robin from its
-    right neighbor; a taken task starts at [max (domain's clock)
-    (readiness time)] where readiness charges cross-domain predecessor
-    edges their communication weight when [charge_comm]. Entry tasks are
-    dealt round-robin by id. With [domains = 1] there is nothing to
-    steal and no communication, so the makespan is exactly the
-    sequential sum of the weights (in execution order).
+    engine: entry tasks dealt round-robin by id, enabled tasks kept by
+    the enabling domain, and a thief that steals the front of the first
+    non-empty deque scanning round-robin from its right neighbor. With
+    [domains = 1] there is nothing to steal and no communication, so the
+    makespan is exactly the sequential sum of the weights (in execution
+    order).
 
     Under faults a killed domain stops between tasks (fail-stop), a
     stalled one acts no earlier than the end of its stall window, and a
@@ -92,9 +105,9 @@ val run_affinity : ?charge_comm:bool -> ?faults:Fault.spec -> Schedule.t -> outc
     processor's deque, owners popping LIFO; an empty domain steals half
     of the {e deepest} other deque (the two-random-victim probe of the
     real engine collapsed to its deterministic load-aware limit), and
-    every stolen task whose hint is not the thief charges
-    [Machine.comm_time] for its heaviest in-edge onto the thief's clock
-    when [charge_comm] (default [true]). Entirely RNG- and
+    when [charge_comm] (default [true]) a stolen task may not start
+    before the steal instant plus its {!Affinity.migration_price}, so
+    transfers overlap whatever the thief runs first. Entirely RNG- and
     wall-clock-free: repeated runs are bit-identical (qcheck-pinned).
     With one processor the makespan is exactly the sequential sum of the
     task weights. Under faults, dead domains stop acting but their deques

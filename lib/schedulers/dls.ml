@@ -76,5 +76,3 @@ let run_into ?(probe = Probe.null) sched =
   sched
 
 let run ?probe g machine = run_into ?probe (Schedule.create g machine)
-
-let schedule_length g machine = Schedule.makespan (run g machine)

@@ -15,5 +15,3 @@ val run : ?probe:Flb_obs.Probe.t -> Taskgraph.t -> Machine.t -> Schedule.t
 val run_into : ?probe:Flb_obs.Probe.t -> Schedule.t -> Schedule.t
 (** Completes a partial schedule in place (and returns it); see
     {!Etf.run_into} for the seeded-schedule contract. *)
-
-val schedule_length : Taskgraph.t -> Machine.t -> float

@@ -2,5 +2,3 @@ open! Flb_taskgraph
 open! Flb_platform
 
 let run ?priority g machine = Llb.run ?priority g machine (Dsc.cluster g)
-
-let schedule_length ?priority g machine = Schedule.makespan (run ?priority g machine)

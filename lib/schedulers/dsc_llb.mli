@@ -5,5 +5,3 @@ open! Flb_platform
     {!Dsc} clustering followed by {!Llb} cluster mapping. *)
 
 val run : ?priority:Llb.priority -> Taskgraph.t -> Machine.t -> Schedule.t
-
-val schedule_length : ?priority:Llb.priority -> Taskgraph.t -> Machine.t -> float

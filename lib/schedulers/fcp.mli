@@ -19,5 +19,3 @@ val run_into : ?probe:Flb_obs.Probe.t -> Schedule.t -> Schedule.t
 (** Completes a partial schedule in place (and returns it): masked
     processors never enter the idle-earliest heap, and a dead enabling
     processor disqualifies the two-processor shortcut for that task. *)
-
-val schedule_length : Taskgraph.t -> Machine.t -> float

@@ -25,7 +25,7 @@ let worker t _index =
   in
   loop ()
 
-let create ?name:_ ~domains ~queue_capacity () =
+let create ~domains ~queue_capacity () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity must be >= 1";
   let t =

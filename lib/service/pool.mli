@@ -13,7 +13,7 @@
 
 type t
 
-val create : ?name:string -> domains:int -> queue_capacity:int -> unit -> t
+val create : domains:int -> queue_capacity:int -> unit -> t
 (** Spawns [domains] worker domains immediately.
     @raise Invalid_argument if [domains < 1] or [queue_capacity < 1]. *)
 

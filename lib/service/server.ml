@@ -491,8 +491,7 @@ let start ?metrics config =
       cache;
       streams;
       pool =
-        Pool.create ~name:"flb-service" ~domains:config.domains
-          ~queue_capacity:config.queue_capacity ();
+        Pool.create ~domains:config.domains ~queue_capacity:config.queue_capacity ();
       draining = Atomic.make false;
       inflight = Atomic.make 0;
       drain_idle_ticks = 0;

@@ -185,24 +185,10 @@ let run ?send_ports ?tracer ?metrics sched =
     if not (Schedule.is_scheduled sched t) then missing := t :: !missing
   done;
   if !missing <> [] then Result.Error (Incomplete_schedule !missing)
-  else begin
-    (* Execute each processor's tasks in claimed start-time order so that
-       insertion-based schedules replay their intended interleaving.
-       Zero-duration tasks make bare start times ambiguous; finish time
-       and topological position break the ties dependency-consistently. *)
-    let topo_position = Array.make (Taskgraph.num_tasks g) 0 in
-    Array.iteri (fun i t -> topo_position.(t) <- i) (Topo.order g);
-    let order_on p =
-      List.sort
-        (fun a b ->
-          compare
-            (Schedule.start_time sched a, Schedule.finish_time sched a, topo_position.(a))
-            (Schedule.start_time sched b, Schedule.finish_time sched b, topo_position.(b)))
-        (Schedule.tasks_on sched p)
-    in
+  else
+    let order = Schedule.execution_order sched in
     replay_placement ?send_ports ?tracer ?metrics g (Schedule.machine sched)
-      ~proc_of:(Schedule.proc sched) ~order_on
-  end
+      ~proc_of:(Schedule.proc sched) ~order_on:(Array.get order)
 
 let agrees_with_schedule sched outcome =
   let g = Schedule.graph sched in
