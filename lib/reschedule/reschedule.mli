@@ -12,13 +12,30 @@ open! Flb_platform
     frozen part matches reality and whose live part covers exactly the
     remaining work. *)
 
-type entry = { name : string; resume : Schedule.t -> Schedule.t }
+type entry = {
+  name : string;
+  resume : Schedule.t -> Schedule.t;
+      (** Completes a seeded schedule in place and returns it. *)
+  frontier_only : bool;
+      (** Whether [resume]'s choices for the unplaced tasks read only
+          those tasks, the placed tasks they depend on directly, and the
+          processor ready times. A streaming round ([Scheduler_loop])
+          then merges just each stream's frontier, with the same
+          placements as merging its whole history. FLB, ETF, FCP,
+          HLFET and DLS have it: their priorities are bottom levels over
+          the unplaced successors, their start times read the direct
+          predecessors and the ready times, and their remaining ties go
+          to the lower task id, whose order a frontier merge keeps. MCP
+          does not: its ALAP times subtract from the whole graph's
+          critical-path length, and its random tie values are drawn by
+          task index. ISH does not: it inserts tasks into idle gaps
+          anywhere on a processor's timeline. Fixed per scheduler. *)
+}
 
 val entries : entry list
 (** Every resumable scheduler: FLB, ETF, MCP, FCP, HLFET, DLS, ISH.
     Clustering-based algorithms are excluded (they cannot complete a
-    half-placed schedule). [resume] completes a seeded schedule in place
-    and returns it. *)
+    half-placed schedule). *)
 
 val names : string list
 

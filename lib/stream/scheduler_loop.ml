@@ -4,6 +4,7 @@ module Metrics = Flb_obs.Metrics
 module Trace = Flb_obs.Trace
 module Reschedule = Flb_reschedule.Reschedule
 module Snapshot = Flb_reschedule.Snapshot
+module Vec = Flb_prelude.Vec
 
 type config = {
   batch_tasks : int;
@@ -45,10 +46,14 @@ let error_to_string = function
    group: one super-DAG, one machine timeline. [floors] is the
    [advance_prt] image of every round the group has run — it outlives
    individual streams, because a drained stream's placements already
-   occupied the shared processors and the timeline cannot un-happen. *)
+   occupied the shared processors and the timeline cannot un-happen.
+   [frontier_only] is the algorithm's declared property
+   ([Reschedule.entry]): whether a round may merge each stream's
+   frontier instead of its whole history. *)
 type group = {
   g_algo : string;
   g_procs : int;
+  frontier_only : bool;
   floors : float array;
   mutable refcount : int;
   mutable last_tick : float;
@@ -60,9 +65,9 @@ type stream = {
   procs : int;
   sgraph : Stream_graph.t;
   outbox : placement Queue.t;
-  (* Placement record per dispatched local task id, for frozen pinning
-     in later rounds. *)
-  placed : (int, placement) Hashtbl.t;
+  (* The placement of each dispatched task, indexed by its id: later
+     rounds pin the ones they merge at these. *)
+  placed : placement Vec.t;
   mutable max_finish : float;
   mutable rounds_in : int;
   mutable last_activity : float;
@@ -143,6 +148,10 @@ let group_of t s =
       {
         g_algo = s.algo;
         g_procs = s.procs;
+        frontier_only =
+          (match Reschedule.find s.algo with
+          | Some e -> e.Reschedule.frontier_only
+          | None -> false);
         floors = Array.make s.procs 0.0;
         refcount = 0;
         last_tick = 0.0;
@@ -217,34 +226,29 @@ let run_round t g ~at =
         0 actives
     in
     let n_streams = List.length actives in
+    (* Merge the active streams, one after another, into one super-DAG
+       and pin each dispatched task merged at its announced placement;
+       returns the merged task count. The processors' ready times are
+       the group floors, which cover every placement, merged or not. *)
     let schedule_round () =
-      (* Merge every active stream into one super-DAG; per-stream task
-         ids are offset by the running total, so placements map back as
-         [global - offset]. *)
-      let total =
-        List.fold_left
-          (fun acc s -> acc + Stream_graph.num_tasks s.sgraph)
-          0 actives
-      in
-      let b = Taskgraph.Builder.create ~expected_tasks:total () in
-      let offsets = Hashtbl.create 8 in
+      let b = Taskgraph.Builder.create ~expected_tasks:(2 * frontier) () in
       let frozen = ref [] in
-      List.iter
-        (fun s ->
-          let off = Stream_graph.append_to s.sgraph b in
-          Hashtbl.add offsets s.id off;
-          Hashtbl.iter
-            (fun local p ->
-              frozen :=
-                {
-                  Snapshot.task = off + local;
-                  proc = p.proc;
-                  start = p.start;
-                  finish = p.finish;
-                }
-                :: !frozen)
-            s.placed)
-        actives;
+      let firsts =
+        List.map
+          (fun s ->
+            Stream_graph.merge_into s.sgraph b ~frontier_only:g.frontier_only
+              ~frozen:(fun ~local ~merged ->
+                let p = Vec.get s.placed local in
+                frozen :=
+                  {
+                    Snapshot.task = merged;
+                    proc = p.proc;
+                    start = p.start;
+                    finish = p.finish;
+                  }
+                  :: !frozen))
+          actives
+      in
       let merged = Taskgraph.Builder.build b in
       let machine = Machine.clique ~num_procs:g.g_procs in
       let ready =
@@ -256,41 +260,46 @@ let run_round t g ~at =
       in
       let sched = Reschedule.run ~algo:g.g_algo snapshot in
       (* Fan placements back out and advance the shared floors. *)
-      List.iter
-        (fun s ->
-          let off = Hashtbl.find offsets s.id in
-          for i = 0 to Stream_graph.num_tasks s.sgraph - 1 do
-            if not (Stream_graph.is_dispatched s.sgraph i) then begin
-              let p =
-                {
-                  task = i;
-                  proc = Schedule.proc sched (off + i);
-                  start = Schedule.start_time sched (off + i);
-                  finish = Schedule.finish_time sched (off + i);
-                }
-              in
-              Stream_graph.mark_dispatched s.sgraph i;
-              Hashtbl.replace s.placed i p;
-              if p.finish > s.max_finish then s.max_finish <- p.finish;
-              Queue.add p s.outbox;
-              Metrics.Counter.incr t.placed_total
-            end
+      List.iter2
+        (fun s first ->
+          let pending = Stream_graph.pending s.sgraph in
+          let first_pending = Stream_graph.num_tasks s.sgraph - pending in
+          for k = 0 to pending - 1 do
+            let m = first + k in
+            let p =
+              {
+                task = first_pending + k;
+                proc = Schedule.proc sched m;
+                start = Schedule.start_time sched m;
+                finish = Schedule.finish_time sched m;
+              }
+            in
+            Vec.push s.placed p;
+            if p.finish > s.max_finish then s.max_finish <- p.finish;
+            Queue.add p s.outbox;
+            Metrics.Counter.incr t.placed_total
           done;
+          Stream_graph.dispatch s.sgraph;
           s.rounds_in <- s.rounds_in + 1)
-        actives;
+        actives firsts;
       for p = 0 to g.g_procs - 1 do
         g.floors.(p) <- Schedule.prt sched p
-      done
+      done;
+      Taskgraph.num_tasks merged
     in
-    if Trace.enabled t.tracer then
-      Trace.with_span t.tracer ~track:"stream"
+    if Trace.enabled t.tracer then begin
+      let ts = Trace.now t.tracer in
+      let merged = schedule_round () in
+      Trace.add_span t.tracer ~track:"stream" ~name:"round" ~ts
+        ~dur:(Trace.now t.tracer -. ts)
         ~args:
           [
             ("streams", float_of_int n_streams);
             ("frontier", float_of_int frontier);
+            ("merged", float_of_int merged);
           ]
-        "round" schedule_round
-    else schedule_round ();
+    end
+    else ignore (schedule_round ());
     t.total_rounds <- t.total_rounds + 1;
     t.batch_streams <- n_streams;
     Metrics.Counter.incr t.rounds_total;
@@ -353,7 +362,7 @@ let open_stream t ~algo ~procs =
                 procs;
                 sgraph = Stream_graph.create ();
                 outbox = Queue.create ();
-                placed = Hashtbl.create 64;
+                placed = Vec.create ();
                 max_finish = 0.0;
                 rounds_in = 0;
                 last_activity = now ();

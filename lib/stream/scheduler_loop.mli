@@ -8,15 +8,25 @@ open! Flb_platform
     timer — the loop runs one {e scheduling round} for the affected
     group:
 
-    - every open stream with the same (algorithm, processor count) is
-      merged into one super-DAG (concurrent clients share a machine, so
-      scheduling them together is what makes the placement globally
-      load-balanced rather than per-client greedy);
-    - each stream's already-dispatched tasks are pinned as frozen
-      history ({!Flb_reschedule.Snapshot} via [Schedule.assign_frozen])
-      and the group's per-processor ready floors — the [advance_prt]
-      image of every earlier round, surviving even streams that have
-      since drained — bound where new work may start;
+    - every open stream with the same (algorithm, processor count) and
+      pending work is merged into one super-DAG (concurrent clients
+      share a machine, so scheduling them together is what makes the
+      placement globally load-balanced rather than per-client greedy);
+    - for an algorithm that reads only the frontier
+      ([Reschedule.entry.frontier_only]: FLB, ETF, FCP, HLFET, DLS) a
+      stream contributes its frontier — its pending tasks, the edges
+      into them, and the dispatched tasks those edges leave from — so a
+      round costs about the batch it places, not the stream's history;
+      MCP and ISH get each stream's whole history
+      ({!Stream_graph.merge_into}). Either way the merged tasks keep
+      their relative order, so every placement is the one the
+      whole-history merge would make;
+    - the dispatched tasks merged are pinned at their announced
+      placements ({!Flb_reschedule.Snapshot} via
+      [Schedule.assign_frozen]), and the group's per-processor ready
+      floors — the [advance_prt] image of every earlier round, surviving
+      even streams that have since drained — bound where new work may
+      start;
     - any registered resumable scheduler ({!Flb_reschedule.Reschedule})
       completes the merged schedule, and the new placements fan back out
       to per-stream outboxes.
@@ -25,7 +35,10 @@ open! Flb_platform
     invariant is what lets clients act on placements before the graph is
     complete. A stream fed its whole graph and sealed before the first
     tick goes through exactly one round with no frozen history and no
-    floors, which reproduces the one-shot scheduler bit for bit.
+    floors, which reproduces the one-shot scheduler bit for bit. A live
+    tracer gets one ["round"] span per round on the ["stream"] track,
+    whose args count the [streams] merged, the [frontier] (pending
+    tasks placed) and the [merged] graph's tasks.
 
     All entry points are thread-safe; rounds run on the calling thread
     under one loop-wide lock. *)

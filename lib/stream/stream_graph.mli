@@ -17,13 +17,16 @@ open! Flb_taskgraph
     dispatched task are fine: that is exactly the cross-frontier
     dependence the rolling schedule exists to honour.
 
-    The tasks and edges are stored in a {!Taskgraph.Builder}, the one
-    store that checks every graph in the library for duplicate edges
-    and cycles; this module turns its checks into structured errors and
-    adds the dispatch marks and the seal. Each scheduling round merges its
-    streams into one builder with {!append_to} and builds one CSR
-    {!Taskgraph.t}, so the round reuses the allocation-free scheduler hot
-    paths unchanged. *)
+    A round dispatches every pending task of each stream it merges
+    ({!dispatch}), so the dispatched tasks are always an id prefix, the
+    pending ones the suffix after it, and every edge into a pending task
+    was added since the last round. The tasks and edges are stored in a
+    {!Taskgraph.Builder}, the one store that checks every graph in the
+    library for duplicate edges and cycles; this module turns its checks
+    into structured errors and adds the dispatched prefix and the seal.
+    Each scheduling round merges its streams into one builder with
+    {!merge_into} and builds one CSR {!Taskgraph.t}, so the round reuses
+    the allocation-free scheduler hot paths unchanged. *)
 
 type t
 
@@ -56,22 +59,38 @@ val seal : t -> (unit, error) result
 val sealed : t -> bool
 
 val check_acyclic : t -> (unit, error) result
-(** {!Taskgraph.Builder.find_cycle} over the current edge set. The
-    scheduling loop calls this before every round: {!Taskgraph.Builder.build}
+(** {!Taskgraph.Builder.find_cycle_after} over the pending tasks and the
+    edges into them: no edge enters a dispatched task after its round,
+    so none lies on a cycle, and the check costs O(pending tasks and
+    edges) yet names the task a whole-graph check would. The scheduling
+    loop calls this before every round: {!Taskgraph.Builder.build}
     raises on cycles, and a raise mid-round would take down every stream
     merged into the same super-DAG, so a cyclic stream must be detected
     and excluded first. *)
 
 val num_tasks : t -> int
 
-val mark_dispatched : t -> int -> unit
-
-val is_dispatched : t -> int -> bool
-
 val pending : t -> int
-(** Tasks added but not yet dispatched. *)
+(** Tasks added but not yet dispatched: the ids from
+    [num_tasks - pending] on. *)
 
-val append_to : t -> Taskgraph.Builder.t -> int
-(** [append_to s b] adds [s]'s tasks to [b], then its edges in insertion
-    order ({!Taskgraph.Builder.append}), and returns the id of [s]'s task
-    0 in [b]. *)
+val dispatch : t -> unit
+(** Marks every task dispatched; the scheduling loop calls it once it
+    has announced a round's placements. *)
+
+val merge_into :
+  t ->
+  Taskgraph.Builder.t ->
+  frontier_only:bool ->
+  frozen:(local:int -> merged:int -> unit) ->
+  int
+(** [merge_into s b ~frontier_only ~frozen] adds a round's view of [s]
+    to [b] and returns the id in [b] of [s]'s first pending task; the
+    other pending tasks follow it in order. With [frontier_only] the
+    view is the frontier: the dispatched tasks that pending edges leave
+    from (ascending), the pending tasks, and the edges into them, in
+    O(frontier) time. Otherwise it is the whole history: every task from
+    0 and every edge. Either way the merged tasks keep their relative
+    order and the edges their insertion order, and [frozen] is called
+    with each merged dispatched task's ids in [s] and in [b], for the
+    caller to pin it at its placement. *)
