@@ -337,23 +337,32 @@ let run_stealing ~charge_comm ~faults ~steal ~floor ~route ~hit deques g =
    domain that enabled them, and a thief that takes the front of the
    first non-empty deque scanning from its right neighbour. A task's hint
    is the deque it was placed in, so each steal is exactly one miss —
-   matching the real engine's accounting. *)
+   matching the real engine's accounting, which also counts a theft from
+   a dead victim as [recovered]. *)
 let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
   if domains < 1 then
     invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
   let deques = Steal.seed ~domains g in
-  let steal ~dead:_ d _ =
+  let recovered = ref 0 in
+  let steal ~dead d _ =
     let found = ref None in
     for k = 1 to domains - 1 do
-      if !found = None then found := Deque.take_front deques.((d + k) mod domains)
+      if !found = None then begin
+        let victim = (d + k) mod domains in
+        found := Deque.take_front deques.(victim);
+        if !found <> None && dead.(victim) then incr recovered
+      end
     done;
     !found
   in
-  run_stealing ~charge_comm ~faults ~steal
-    ~floor:(fun _ -> 0.0)
-    ~route:(fun ~dead:_ d t -> Deque.push_back deques.(d) t)
-    ~hit:(fun _ ~stolen _ -> not stolen)
-    deques g
+  let o =
+    run_stealing ~charge_comm ~faults ~steal
+      ~floor:(fun _ -> 0.0)
+      ~route:(fun ~dead:_ d t -> Deque.push_back deques.(d) t)
+      ~hit:(fun _ ~stolen _ -> not stolen)
+      deques g
+  in
+  { o with recovered = !recovered }
 
 (* [Affinity.run]'s discipline: schedule seeding, and each newly enabled
    task routed to its hinted (scheduled) processor's deque, or the
