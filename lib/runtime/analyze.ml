@@ -194,10 +194,11 @@ let analyze ?schedule ?(scale = 1.0) ~graph run =
       in
       let eps = 1e-9 *. Float.max 1.0 makespan in
       (* Was communication charged in this run? If every realized
-         cross-domain dependency respects [start(s) >= finish(p) + w],
-         treat the edge weights as real separations; one violation means
-         the run didn't charge them (e.g. --no-comm), so dependency lag
-         is plain finish time. *)
+         cross-domain dependency respects [start(s) >= finish(p) + w]
+         (the weight [w] brought to trace time by [scale]), treat the
+         edge weights as real separations; one violation means the run
+         didn't charge them (e.g. --no-comm), so dependency lag is plain
+         finish time. *)
       let comm_charged =
         let ok = ref true in
         for s = 0 to n - 1 do
@@ -205,12 +206,12 @@ let analyze ?schedule ?(scale = 1.0) ~graph run =
             Taskgraph.iter_preds graph s (fun p w ->
                 if
                   executed p && dom.(p) <> dom.(s)
-                  && start.(s) +. eps < finish.(p) +. w
+                  && start.(s) +. eps < finish.(p) +. (w *. scale)
                 then ok := false)
         done;
         !ok
       in
-      let lag p s w = if comm_charged && dom.(p) <> dom.(s) then w else 0.0 in
+      let lag p s w = if comm_charged && dom.(p) <> dom.(s) then w *. scale else 0.0 in
       (* Same-domain realized order: tasks sorted by start per domain. *)
       let by_domain = Array.make num_domains [] in
       for t = n - 1 downto 0 do

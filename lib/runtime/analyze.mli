@@ -26,7 +26,7 @@ open! Flb_platform
     Timestamps are taken as-is, so a virtual-clock trace (weight units)
     and the schedule's analytic times compare directly; for a real-time
     trace (seconds) pass [scale] (e.g. [unit_ns /. 1e9]) to bring
-    predictions into trace units. *)
+    predictions and edge weights into trace units. *)
 
 (** {1 Parsed runs} *)
 
@@ -101,9 +101,9 @@ val analyze :
   graph:Taskgraph.t ->
   run ->
   (report, string) result
-(** [scale] (default 1) multiplies the schedule's times into trace
-    units. [Error] on an empty run, out-of-range task ids, negative
-    domains or negative durations. *)
+(** [scale] (default 1) multiplies the schedule's times and the edge
+    weights (the messages' times) into trace units. [Error] on an empty
+    run, out-of-range task ids, negative domains or negative durations. *)
 
 val render : report -> string
 (** Human-readable: summary line, the critical path with per-task

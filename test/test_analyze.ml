@@ -136,6 +136,32 @@ let test_comm_charged_inference () =
   let r2 = Result.get_ok (A.analyze ~graph:g2 run2) in
   check_bool "uncharged comm detected" false r2.A.comm_charged
 
+(* A real-time trace is in seconds, edge weights in units: with
+   [scale] the analyzer prices each message at weight times scale. The
+   fig1 replay at 200 us per unit, cross-domain starts exactly a scaled
+   message after their sources, reads as charged and names the same
+   critical path and slack as the unit-time trace. *)
+let test_real_time_comm_scaled () =
+  let g = Example.fig1 () in
+  let sched = E.Registry.flb.E.Registry.run g (Machine.clique ~num_procs:2) in
+  let v = R.Virtual_clock.run_static sched in
+  let scale = 200_000.0 /. 1e9 in
+  let seconds = Array.map (fun x -> x *. scale) in
+  let run =
+    Result.get_ok
+      (A.of_jsonl
+         (A.jsonl_of_times ~start:(seconds v.R.Virtual_clock.start)
+            ~finish:(seconds v.R.Virtual_clock.finish)
+            ~exec_domain:v.R.Virtual_clock.exec_domain ()))
+  in
+  let r = Result.get_ok (A.analyze ~schedule:sched ~scale ~graph:g run) in
+  check_bool "scaled messages read as charged" true r.A.comm_charged;
+  Alcotest.(check (list int)) "same critical path" [ 0; 3; 2; 6; 7 ] r.A.critical_path;
+  (match r.A.per_task.(5) with
+  | Some s -> check_float "task 5 slack, scaled" (2.0 *. scale) s.A.t_slack
+  | None -> Alcotest.fail "task 5 missing");
+  check_bool "on time against the scaled prediction" true (r.A.stragglers = [])
+
 let test_partial_run () =
   (* a faulted run that lost task 1: the report says 7 of 8 and keeps a
      coherent critical path over what did execute *)
@@ -225,3 +251,7 @@ let suite =
       test_analyze_validation;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
+  @ [
+      Alcotest.test_case "real-time trace: messages scaled by unit_ns" `Quick
+        test_real_time_comm_scaled;
+    ]
