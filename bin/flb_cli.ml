@@ -22,12 +22,20 @@ open! Flb_taskgraph
 open! Flb_platform
 module E = Flb_experiments
 module R = Flb_runtime
+module Registry = Flb_reschedule.Registry
 
 (* --- shared argument parsers --- *)
 
 let graph_arg =
   let doc = "Task graph file (lib/taskgraph/serial.mli format), a .flb program file (lib/lang/parse.mli), or 'fig1' for the paper's example graph." in
   Arg.(required & opt (some string) None & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
+
+let graph_default_arg =
+  let doc =
+    "Task graph file (lib/taskgraph/serial.mli format), a .flb program file, \
+     or 'fig1' (default) for the paper's example graph."
+  in
+  Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
 
 (* A graph that does not parse is a usage error: FILE:LINE: message,
    exit 2, as for a bad schedule file. A file that cannot be opened is
@@ -81,8 +89,20 @@ let build_machine procs mesh =
   | None -> Machine.clique ~num_procs:procs
 
 let algo_arg =
-  let doc = "Scheduling algorithm: FLB, ETF, MCP, FCP, DSC-LLB, HLFET, DLS, ISH, SARKAR-LLB or RR." in
+  let doc =
+    "Scheduling algorithm: "
+    ^ String.concat ", " (Registry.names Registry.extended_set)
+    ^ "."
+  in
   Arg.(value & opt string "FLB" & info [ "a"; "algorithm"; "algo" ] ~docv:"ALGO" ~doc)
+
+(* An unknown algorithm is a usage error: message, exit 2. *)
+let find_algo name =
+  match Registry.find name with
+  | Some a -> a
+  | None ->
+    prerr_endline ("unknown algorithm: " ^ name);
+    exit 2
 
 let seed_arg =
   let doc = "Random seed (weights are deterministic per seed)." in
@@ -193,13 +213,6 @@ let info_cmd =
 (* --- schedule --- *)
 
 let schedule_cmd =
-  let graph_default_arg =
-    let doc =
-      "Task graph file (lib/taskgraph/serial.mli format), a .flb program file, \
-       or 'fig1' (default) for the paper's example graph."
-    in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let gantt_arg = Arg.(value & flag & info [ "gantt" ] ~doc:"Draw a text Gantt chart.") in
   let listing_arg =
     Arg.(value & flag & info [ "listing" ] ~doc:"Print the task-by-task listing.")
@@ -249,98 +262,96 @@ let schedule_cmd =
       trace_out metrics_out =
     let g = load_graph path in
     let machine = build_machine procs mesh in
-    match E.Registry.find algo with
-    | None -> prerr_endline ("unknown algorithm: " ^ algo); exit 2
-    | Some a ->
-      let telemetry = profile || trace_out <> None || metrics_out <> None in
-      let tracer =
-        if trace_out <> None then Flb_obs.Trace.create () else Flb_obs.Trace.null
-      in
-      let registry =
-        if metrics_out <> None then Some (Flb_obs.Metrics.create ()) else None
-      in
-      let s, report =
-        if telemetry then
-          let s, report = E.Registry.run_with_report ~tracer a g machine in
-          (s, Some report)
-        else (a.E.Registry.run g machine, None)
-      in
-      Printf.printf "%s on %d processors: makespan %g, speedup %.2f, efficiency %.2f\n"
-        a.E.Registry.name procs (Schedule.makespan s) (Metrics.speedup s)
+    let a = find_algo algo in
+    let telemetry = profile || trace_out <> None || metrics_out <> None in
+    let tracer =
+      if trace_out <> None then Flb_obs.Trace.create () else Flb_obs.Trace.null
+    in
+    let registry =
+      if metrics_out <> None then Some (Flb_obs.Metrics.create ()) else None
+    in
+    let s, report =
+      if telemetry then
+        let s, report = Registry.run_with_report ~tracer a g machine in
+        (s, Some report)
+      else (a.Registry.run g machine, None)
+    in
+    Printf.printf "%s on %d processors: makespan %g, speedup %.2f, efficiency %.2f\n"
+      a.Registry.name procs (Schedule.makespan s) (Metrics.speedup s)
+      (Metrics.efficiency s);
+    (match Schedule.validate s with
+    | Ok () -> print_endline "validation: ok"
+    | Error es ->
+      Printf.printf "validation FAILED:\n";
+      List.iter (fun e -> Printf.printf "  %s\n" e) es;
+      exit 1);
+    if simulate then begin
+      match Flb_sim.Simulator.run ~tracer ?metrics:registry s with
+      | Ok o ->
+        Printf.printf "simulation: makespan %g, %d messages, volume %g — %s\n"
+          o.Flb_sim.Simulator.makespan o.Flb_sim.Simulator.messages
+          o.Flb_sim.Simulator.comm_volume
+          (if Flb_sim.Simulator.agrees_with_schedule s o then
+             "agrees with analytic schedule"
+           else "DISAGREES with analytic schedule")
+      | Error _ -> print_endline "simulation: FAILED to replay"
+    end;
+    (match report with
+    | Some r when profile -> print_string (Flb_obs.Probe.render r)
+    | Some _ | None -> ());
+    (match trace_out with
+    | None -> ()
+    | Some out ->
+      Flb_obs.Trace.save_chrome tracer ~path:out
+        ~name:(Printf.sprintf "%s on %s (P=%d)" a.Registry.name path procs);
+      Printf.printf "wrote %s\n" out);
+    (match registry with
+    | None -> ()
+    | Some reg ->
+      Option.iter (fun r -> Flb_obs.Probe.to_metrics reg r) report;
+      let open Flb_obs.Metrics in
+      Gauge.set (gauge reg ~help:"schedule makespan" "schedule_makespan")
+        (Schedule.makespan s);
+      Gauge.set (gauge reg ~help:"sequential time / makespan" "schedule_speedup")
+        (Metrics.speedup s);
+      Gauge.set (gauge reg ~help:"speedup / P" "schedule_efficiency")
         (Metrics.efficiency s);
-      (match Schedule.validate s with
-      | Ok () -> print_endline "validation: ok"
-      | Error es ->
-        Printf.printf "validation FAILED:\n";
-        List.iter (fun e -> Printf.printf "  %s\n" e) es;
-        exit 1);
-      if simulate then begin
-        match Flb_sim.Simulator.run ~tracer ?metrics:registry s with
-        | Ok o ->
-          Printf.printf "simulation: makespan %g, %d messages, volume %g — %s\n"
-            o.Flb_sim.Simulator.makespan o.Flb_sim.Simulator.messages
-            o.Flb_sim.Simulator.comm_volume
-            (if Flb_sim.Simulator.agrees_with_schedule s o then
-               "agrees with analytic schedule"
-             else "DISAGREES with analytic schedule")
-        | Error _ -> print_endline "simulation: FAILED to replay"
-      end;
-      (match report with
-      | Some r when profile -> print_string (Flb_obs.Probe.render r)
-      | Some _ | None -> ());
-      (match trace_out with
-      | None -> ()
-      | Some out ->
-        Flb_obs.Trace.save_chrome tracer ~path:out
-          ~name:(Printf.sprintf "%s on %s (P=%d)" a.E.Registry.name path procs);
-        Printf.printf "wrote %s\n" out);
-      (match registry with
-      | None -> ()
-      | Some reg ->
-        Option.iter (fun r -> Flb_obs.Probe.to_metrics reg r) report;
-        let open Flb_obs.Metrics in
-        Gauge.set (gauge reg ~help:"schedule makespan" "schedule_makespan")
-          (Schedule.makespan s);
-        Gauge.set (gauge reg ~help:"sequential time / makespan" "schedule_speedup")
-          (Metrics.speedup s);
-        Gauge.set (gauge reg ~help:"speedup / P" "schedule_efficiency")
-          (Metrics.efficiency s);
-        Gauge.set
-          (gauge reg ~help:"max busy / mean busy" "schedule_load_imbalance")
-          (Metrics.load_imbalance s);
-        Gauge.set
-          (gauge reg ~help:"idle fraction of the P x makespan area"
-             "schedule_idle_fraction")
-          (Metrics.idle_fraction s);
-        let out = Option.get metrics_out in
-        if Filename.check_suffix out ".json" then save_json reg ~path:out
-        else save_prometheus reg ~path:out;
-        Printf.printf "wrote %s\n" out);
-      if gantt then print_string (Gantt.render s);
-      if listing then print_string (Gantt.render_listing s);
-      (match chrome with
-      | None -> ()
-      | Some out ->
-        Chrome_trace.save s ~path:out;
-        Printf.printf "wrote %s\n" out);
-      (match svg with
-      | None -> ()
-      | Some out ->
-        Svg.save s ~path:out;
-        Printf.printf "wrote %s\n" out);
-      (match save with
-      | None -> ()
-      | Some out ->
-        Schedule_io.save s ~path:out;
-        Printf.printf "wrote %s\n" out);
-      match dot with
-      | None -> ()
-      | Some out ->
-        let text =
-          Dot.to_string_with_placement g ~proc_of:(fun t -> Schedule.proc s t)
-        in
-        Out_channel.with_open_text out (fun oc -> output_string oc text);
-        Printf.printf "wrote %s\n" out
+      Gauge.set
+        (gauge reg ~help:"max busy / mean busy" "schedule_load_imbalance")
+        (Metrics.load_imbalance s);
+      Gauge.set
+        (gauge reg ~help:"idle fraction of the P x makespan area"
+           "schedule_idle_fraction")
+        (Metrics.idle_fraction s);
+      let out = Option.get metrics_out in
+      if Filename.check_suffix out ".json" then save_json reg ~path:out
+      else save_prometheus reg ~path:out;
+      Printf.printf "wrote %s\n" out);
+    if gantt then print_string (Gantt.render s);
+    if listing then print_string (Gantt.render_listing s);
+    (match chrome with
+    | None -> ()
+    | Some out ->
+      Chrome_trace.save s ~path:out;
+      Printf.printf "wrote %s\n" out);
+    (match svg with
+    | None -> ()
+    | Some out ->
+      Svg.save s ~path:out;
+      Printf.printf "wrote %s\n" out);
+    (match save with
+    | None -> ()
+    | Some out ->
+      Schedule_io.save s ~path:out;
+      Printf.printf "wrote %s\n" out);
+    match dot with
+    | None -> ()
+    | Some out ->
+      let text =
+        Dot.to_string_with_placement g ~proc_of:(fun t -> Schedule.proc s t)
+      in
+      Out_channel.with_open_text out (fun oc -> output_string oc text);
+      Printf.printf "wrote %s\n" out
   in
   let doc = "Schedule a task graph with one algorithm." in
   Cmd.v (Cmd.info "schedule" ~doc)
@@ -360,7 +371,7 @@ let compare_cmd =
       E.Table.create ~header:[ "algorithm"; "makespan"; "NSL vs MCP"; "speedup" ]
     in
     List.iter
-      (fun (a : E.Registry.t) ->
+      (fun (a : Registry.t) ->
         let s = a.run g machine in
         E.Table.add_row table
           [
@@ -369,7 +380,7 @@ let compare_cmd =
             E.Table.cell_float (Metrics.nsl s ~reference:mcp_len);
             E.Table.cell_float (Metrics.speedup s);
           ])
-      E.Registry.extended_set;
+      Registry.extended_set;
     print_string (E.Table.render table)
   in
   let doc = "Run every algorithm on a graph and tabulate the results." in
@@ -497,25 +508,14 @@ let trace_cmd =
     Printf.printf "schedule length: %g\n" (Schedule.makespan sched)
   in
   let doc = "Print the FLB execution trace (the paper's Table 1 format)." in
-  let graph_default =
-    let doc = "Task graph file, or 'fig1' (default) for the paper's example." in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let procs_default =
     Arg.(value & opt int 2 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processors.")
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ graph_default $ procs_default)
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ graph_default_arg $ procs_default)
 
 (* --- execute --- *)
 
 let execute_cmd =
-  let graph_default_arg =
-    let doc =
-      "Task graph file (lib/taskgraph/serial.mli format), a .flb program file, \
-       or 'fig1' (default) for the paper's example graph."
-    in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let engine_arg =
     let doc =
       "Execution engine: $(b,static) (run the schedule produced by \
@@ -621,11 +621,11 @@ let execute_cmd =
       | "resched" -> R.Engine.Resched "FLB"
       | s when String.length s > 8 && String.sub s 0 8 = "resched:" ->
         let a = String.sub recover_s 8 (String.length recover_s - 8) in
-        if Flb_reschedule.Reschedule.find a = None then begin
+        if Option.is_none (Registry.find_resumable a) then begin
           prerr_endline
             (Printf.sprintf
                "bad --recover: unknown reschedule algorithm %s (available: %s)" a
-               (String.concat ", " Flb_reschedule.Reschedule.names));
+               (String.concat ", " (Registry.names Registry.resumable_set)));
           exit 2
         end;
         R.Engine.Resched a
@@ -636,16 +636,11 @@ let execute_cmd =
         exit 2
     in
     let sched_for algo_name =
-      match E.Registry.find algo_name with
-      | None ->
-        prerr_endline ("unknown algorithm: " ^ algo_name);
-        exit 2
-      | Some a ->
-        let machine = Machine.clique ~num_procs:domains in
-        let s = a.E.Registry.run g machine in
-        Printf.printf "%s on %d domains: predicted makespan %g\n" a.E.Registry.name
-          domains (Schedule.makespan s);
-        s
+      let a = find_algo algo_name in
+      let s = a.Registry.run g (Machine.clique ~num_procs:domains) in
+      Printf.printf "%s on %d domains: predicted makespan %g\n" a.Registry.name
+        domains (Schedule.makespan s);
+      s
     in
     let sched_for_static () = sched_for algo in
     (* The hint-providing schedule: --engine affinity:ALGO overrides
@@ -870,13 +865,6 @@ let serve_cmd =
           $ deadline_arg $ trace_out_arg $ stream_batch_arg $ stream_tick_arg)
 
 let request_cmd =
-  let graph_default_arg =
-    let doc =
-      "Task graph file (lib/taskgraph/serial.mli format), a .flb program \
-       file, or 'fig1' (default) for the paper's example graph."
-    in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let save_arg =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~docv:"FILE"
@@ -943,13 +931,6 @@ let request_cmd =
           $ procs_arg $ save_arg $ shutdown_arg)
 
 let stream_cmd =
-  let graph_default_arg =
-    let doc =
-      "Task graph file (lib/taskgraph/serial.mli format), a .flb program \
-       file, or 'fig1' (default) for the paper's example graph."
-    in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let batches_arg =
     Arg.(value & opt int 2
          & info [ "batches" ] ~docv:"N"
@@ -1311,13 +1292,6 @@ let analyze_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
-  let graph_default_arg =
-    let doc =
-      "Task graph the trace executed (needed for dependencies), or 'fig1' \
-       (default) for the paper's example graph."
-    in
-    Arg.(value & opt string "fig1" & info [ "g"; "graph" ] ~docv:"FILE" ~doc)
-  in
   let algo_opt_arg =
     Arg.(value & opt (some string) None
          & info [ "a"; "algorithm" ] ~docv:"NAME"
@@ -1354,29 +1328,10 @@ let analyze_cmd =
         let schedule =
           match algo with
           | None -> None
-          | Some name -> (
-            match E.Registry.find name with
-            | None ->
-              prerr_endline ("unknown algorithm: " ^ name);
-              exit 2
-            | Some a ->
-              let procs =
-                if procs > 0 then procs
-                else
-                  (* The trace knows the team size. *)
-                  let m = ref 0 in
-                  List.iter
-                    (fun e ->
-                      if e.R.Analyze.domain > !m then m := e.R.Analyze.domain)
-                    parsed.R.Analyze.execs;
-                  List.iter
-                    (fun mk ->
-                      if mk.R.Analyze.mark_domain > !m then
-                        m := mk.R.Analyze.mark_domain)
-                    parsed.R.Analyze.marks;
-                  !m + 1
-              in
-              Some (a.E.Registry.run g (Machine.clique ~num_procs:procs)))
+          | Some name ->
+            let a = find_algo name in
+            let procs = if procs > 0 then procs else R.Analyze.num_domains parsed in
+            Some (a.Registry.run g (Machine.clique ~num_procs:procs))
         in
         let scale = if unit_ns > 0.0 then unit_ns /. 1e9 else 1.0 in
         match R.Analyze.analyze ?schedule ~scale ~graph:g parsed with

@@ -68,40 +68,27 @@ let fig4 ~quick =
     csv = Some (Nsl_exp.to_csv cells);
   }
 
+let variant name describe run = { Registry.name; describe; run; resumable = None }
+
 let flb_variant name describe options =
-  {
-    Registry.name;
-    describe;
-    run = (fun g m -> Flb.run ~options g m);
-    probed = (fun probe g m -> Flb.run ~options ~probe g m);
-  }
+  variant name describe (fun ?probe g m -> Flb.run ~options ?probe g m)
 
 let ablation ~quick =
   let tasks = size ~quick 1000 400 in
   let algorithms =
     [
       Registry.mcp;
-      {
-        Registry.name = "MCP-ins";
-        describe = "MCP with insertion-based placement";
-        run = (fun g m -> Flb_schedulers.Mcp.run ~insertion:true g m);
-        probed = (fun probe g m -> Flb_schedulers.Mcp.run ~insertion:true ~probe g m);
-      };
+      variant "MCP-ins" "MCP with insertion-based placement" (fun ?probe g m ->
+          Flb_schedulers.Mcp.run ~insertion:true ?probe g m);
       Registry.flb;
       flb_variant "FLB-id" "FLB breaking ties by task id instead of bottom level"
         { Flb.tie_break = Flb.Task_id; prefer_non_ep_on_tie = true };
       flb_variant "FLB-ep" "FLB preferring the EP pair on start-time ties"
         { Flb.tie_break = Flb.Bottom_level; prefer_non_ep_on_tie = false };
       Registry.dsc_llb;
-      (let run g m =
-         Flb_schedulers.Dsc_llb.run ~priority:Flb_schedulers.Llb.Least_blevel g m
-       in
-       {
-         Registry.name = "DSC-LLB-l";
-         describe = "DSC-LLB with the paper's literal least-bottom-level LLB priority";
-         run;
-         probed = (fun _ g m -> run g m);
-       });
+      variant "DSC-LLB-l" "DSC-LLB with the paper's literal least-bottom-level LLB priority"
+        (fun ?probe:_ g m ->
+          Flb_schedulers.Dsc_llb.run ~priority:Flb_schedulers.Llb.Least_blevel g m);
     ]
   in
   text

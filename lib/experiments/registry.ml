@@ -1,107 +1,3 @@
-open! Flb_taskgraph
-open! Flb_platform
-module Probe = Flb_obs.Probe
-
-type t = {
-  name : string;
-  describe : string;
-  run : Taskgraph.t -> Machine.t -> Schedule.t;
-  probed : Probe.t -> Taskgraph.t -> Machine.t -> Schedule.t;
-}
-
-(* Clustering-based and naive algorithms don't report through the probe
-   yet; they still run (and time) under it. *)
-let unprobed run _probe g m = run g m
-
-let flb =
-  {
-    name = "FLB";
-    describe = "Fast Load Balancing (this paper); O(V(logW + logP) + E)";
-    run = (fun g m -> Flb_core.Flb.run g m);
-    probed = (fun probe g m -> Flb_core.Flb.run ~probe g m);
-  }
-
-let etf =
-  {
-    name = "ETF";
-    describe = "Earliest Task First; O(W(E+V)P)";
-    run = Flb_schedulers.Etf.run;
-    probed = (fun probe g m -> Flb_schedulers.Etf.run ~probe g m);
-  }
-
-let mcp =
-  {
-    name = "MCP";
-    describe = "Modified Critical Path, random tie-break; O(VlogV + (E+V)P)";
-    run = (fun g m -> Flb_schedulers.Mcp.run g m);
-    probed = (fun probe g m -> Flb_schedulers.Mcp.run ~probe g m);
-  }
-
-let fcp =
-  {
-    name = "FCP";
-    describe = "Fast Critical Path; O(VlogP + E)";
-    run = Flb_schedulers.Fcp.run;
-    probed = (fun probe g m -> Flb_schedulers.Fcp.run ~probe g m);
-  }
-
-let dsc_llb =
-  {
-    name = "DSC-LLB";
-    describe = "DSC clustering + LLB mapping; O((E+V)logV)";
-    run = (fun g m -> Flb_schedulers.Dsc_llb.run g m);
-    probed = unprobed (fun g m -> Flb_schedulers.Dsc_llb.run g m);
-  }
-
-let paper_set = [ mcp; etf; dsc_llb; fcp; flb ]
-
-let extended_set =
-  paper_set
-  @ [
-      {
-        name = "HLFET";
-        describe = "Highest Level First with Estimated Times (extension)";
-        run = Flb_schedulers.Hlfet.run;
-        probed = (fun probe g m -> Flb_schedulers.Hlfet.run ~probe g m);
-      };
-      {
-        name = "DLS";
-        describe = "Dynamic Level Scheduling (extension)";
-        run = Flb_schedulers.Dls.run;
-        probed = (fun probe g m -> Flb_schedulers.Dls.run ~probe g m);
-      };
-      {
-        name = "ISH";
-        describe = "Insertion Scheduling Heuristic (extension)";
-        run = Flb_schedulers.Ish.run;
-        probed = (fun probe g m -> Flb_schedulers.Ish.run ~probe g m);
-      };
-      {
-        name = "SARKAR-LLB";
-        describe = "Sarkar internalization clustering + LLB mapping (extension)";
-        run =
-          (fun g m -> Flb_schedulers.Llb.run g m (Flb_schedulers.Sarkar.cluster g));
-        probed =
-          unprobed (fun g m ->
-              Flb_schedulers.Llb.run g m (Flb_schedulers.Sarkar.cluster g));
-      };
-      {
-        name = "RR";
-        describe = "round-robin placement (naive baseline)";
-        run = Flb_schedulers.Naive.round_robin;
-        probed = unprobed Flb_schedulers.Naive.round_robin;
-      };
-    ]
-
-let find name =
-  let lower = String.lowercase_ascii name in
-  List.find_opt (fun a -> String.lowercase_ascii a.name = lower) extended_set
-
-let names algos = List.map (fun a -> a.name) algos
-
-let run_with_report ?tracer ?(timed = true) algo g machine =
-  let probe = Probe.create ?tracer ~timed algo.name in
-  Probe.start_run probe;
-  let sched = algo.probed probe g machine in
-  Probe.finish_run probe;
-  (sched, Probe.report probe)
+(* The scheduler table under the name the serving benchmark (perfbench/)
+   looks it up by. *)
+include Flb_reschedule.Registry

@@ -146,6 +146,17 @@ type report = {
   stragglers : (int * float) list; (* (task, lateness), worst first *)
 }
 
+let num_domains run =
+  let m = ref 0 in
+  List.iter (fun e -> if e.domain > !m then m := e.domain) run.execs;
+  List.iter (fun mk -> if mk.mark_domain > !m then m := mk.mark_domain) run.marks;
+  (* A dump's meta line knows the team size even when some domain
+     recorded nothing at all. *)
+  (match Option.bind (List.assoc_opt "domains" run.meta) int_of_string_opt with
+  | Some d when d > !m + 1 -> m := d - 1
+  | _ -> ());
+  !m + 1
+
 let analyze ?schedule ?(scale = 1.0) ~graph run =
   let n = Taskgraph.num_tasks graph in
   let start = Array.make n Float.nan in
@@ -174,17 +185,7 @@ let analyze ?schedule ?(scale = 1.0) ~graph run =
     let executed_count = Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 dom in
     if executed_count = 0 then Error "trace contains no task spans on domain tracks"
     else begin
-      let num_domains =
-        let m = ref 0 in
-        Array.iter (fun d -> if d > !m then m := d) dom;
-        List.iter (fun mk -> if mk.mark_domain > !m then m := mk.mark_domain) run.marks;
-        (* A dump's meta line knows the team size even when some domain
-           recorded nothing at all. *)
-        (match Option.bind (List.assoc_opt "domains" run.meta) int_of_string_opt with
-        | Some d when d > !m + 1 -> m := d - 1
-        | _ -> ());
-        !m + 1
-      in
+      let num_domains = num_domains run in
       let makespan =
         let m = ref 0.0 in
         for t = 0 to n - 1 do

@@ -55,6 +55,11 @@ val of_jsonl : string -> (run, string) result
 val load : string -> (run, string) result
 (** {!of_jsonl} on a file's contents; I/O failures as [Error]. *)
 
+val num_domains : run -> int
+(** The team size: one past the highest domain a task span or an
+    instant names, or the meta line's [domains] when that is larger (a
+    domain that recorded nothing still ran). At least 1. *)
+
 (** {1 Reports} *)
 
 type task_stat = {

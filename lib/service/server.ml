@@ -1,7 +1,7 @@
 open! Flb_taskgraph
 open! Flb_platform
 module Json = Flb_prelude.Json
-module Registry = Flb_experiments.Registry
+module Registry = Flb_reschedule.Registry
 module Metrics = Flb_obs.Metrics
 module Trace = Flb_obs.Trace
 module Ctx = Flb_obs.Trace_context

@@ -61,7 +61,7 @@ type gossip_digest = {
 type request =
   | Schedule of { graph : string; algo : string; procs : int }
       (** [graph] in the {!Flb_taskgraph.Serial} text format; [algo] as
-          understood by {!Flb_experiments.Registry.find}. *)
+          understood by {!Flb_reschedule.Registry.find}. *)
   | Get_stats of stats_format
       (** Live introspection snapshot: metrics registry, cache hit
           rate, pool depth, per-connection state. *)

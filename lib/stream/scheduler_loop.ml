@@ -2,6 +2,7 @@ open! Flb_taskgraph
 open! Flb_platform
 module Metrics = Flb_obs.Metrics
 module Trace = Flb_obs.Trace
+module Registry = Flb_reschedule.Registry
 module Reschedule = Flb_reschedule.Reschedule
 module Snapshot = Flb_reschedule.Snapshot
 module Vec = Flb_prelude.Vec
@@ -48,7 +49,7 @@ let error_to_string = function
    individual streams, because a drained stream's placements already
    occupied the shared processors and the timeline cannot un-happen.
    [frontier_only] is the algorithm's declared property
-   ([Reschedule.entry]): whether a round may merge each stream's
+   ([Registry.resumable]): whether a round may merge each stream's
    frontier instead of its whole history. *)
 type group = {
   g_algo : string;
@@ -149,8 +150,8 @@ let group_of t s =
         g_algo = s.algo;
         g_procs = s.procs;
         frontier_only =
-          (match Reschedule.find s.algo with
-          | Some e -> e.Reschedule.frontier_only
+          (match Registry.find_resumable s.algo with
+          | Some (_, r) -> r.Registry.frontier_only
           | None -> false);
         floors = Array.make s.procs 0.0;
         refcount = 0;
@@ -338,14 +339,14 @@ let drain ?(final = false) s =
   { placements; round = s.rounds_in; final; makespan = s.max_finish }
 
 let open_stream t ~algo ~procs =
-  match Reschedule.find algo with
+  match Registry.find_resumable algo with
   | None ->
     Error
       (Failed
          (Printf.sprintf "unknown or non-resumable algorithm %S (try one of: %s)"
             algo
-            (String.concat ", " Reschedule.names)))
-  | Some entry ->
+            (String.concat ", " (Registry.names Registry.resumable_set))))
+  | Some (entry, _) ->
     if procs < 1 then
       Error (Failed (Printf.sprintf "procs must be >= 1 (got %d)" procs))
     else
@@ -358,7 +359,7 @@ let open_stream t ~algo ~procs =
             let s =
               {
                 id;
-                algo = entry.Reschedule.name;
+                algo = entry.Registry.name;
                 procs;
                 sgraph = Stream_graph.create ();
                 outbox = Queue.create ();

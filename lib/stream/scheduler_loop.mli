@@ -13,12 +13,12 @@ open! Flb_platform
       share a machine, so scheduling them together is what makes the
       placement globally load-balanced rather than per-client greedy);
     - for an algorithm that reads only the frontier
-      ([Reschedule.entry.frontier_only]: FLB, ETF, FCP, HLFET, DLS) a
-      stream contributes its frontier — its pending tasks, the edges
-      into them, and the dispatched tasks those edges leave from — so a
-      round costs about the batch it places, not the stream's history;
-      MCP and ISH get each stream's whole history
-      ({!Stream_graph.merge_into}). Either way the merged tasks keep
+      ({!Flb_reschedule.Registry.resumable}'s [frontier_only]: FLB,
+      ETF, FCP, HLFET, DLS, ISH) a stream contributes its frontier —
+      its pending tasks, the edges into them, and the dispatched tasks
+      those edges leave from — so a round costs about the batch it
+      places, not the stream's history; MCP gets each stream's whole
+      history ({!Stream_graph.merge_into}). Either way the merged tasks keep
       their relative order, so every placement is the one the
       whole-history merge would make;
     - the dispatched tasks merged are pinned at their announced
@@ -27,9 +27,9 @@ open! Flb_platform
       floors — the [advance_prt] image of every earlier round, surviving
       even streams that have since drained — bound where new work may
       start;
-    - any registered resumable scheduler ({!Flb_reschedule.Reschedule})
-      completes the merged schedule, and the new placements fan back out
-      to per-stream outboxes.
+    - any resumable scheduler of {!Flb_reschedule.Registry} completes
+      the merged schedule ({!Flb_reschedule.Reschedule.run}), and the
+      new placements fan back out to per-stream outboxes.
 
     Once dispatched, a placement is immutable: the frozen-prefix
     invariant is what lets clients act on placements before the graph is
@@ -88,8 +88,8 @@ val create :
     account cache bypasses without touching hit/miss counters. *)
 
 val open_stream : t -> algo:string -> procs:int -> (int, error) result
-(** Validates [algo] against the resumable-scheduler registry and
-    [procs >= 1]; returns the new stream id. *)
+(** Validates [algo] against {!Flb_reschedule.Registry.find_resumable}
+    and [procs >= 1]; returns the new stream id. *)
 
 val add_tasks :
   t -> stream:int -> comps:float array -> (int * progress, error) result
