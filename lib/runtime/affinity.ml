@@ -3,8 +3,6 @@ open! Flb_platform
 module State = Engine.State
 module Rng = Flb_prelude.Rng
 
-let max_backoff = 1024
-
 (* Consecutive empty-handed probe rounds a thief tolerates before it
    starts backing off — the bounded-attempts discipline of decentralized
    list scheduling, which keeps steal traffic O(attempts) per idle spell
@@ -69,7 +67,7 @@ let run ?(config = Engine.default_config) sched =
     Deque.push_back deques.(if State.is_dead st h then d else h) s
   in
   State.run_team st (fun d ~busy ->
-    let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
+    let rng = Engine.victim_rng config d in
     let backoff = ref 0 in
     let fails = ref 0 in
     let run_one ~slowdown t =
@@ -123,7 +121,7 @@ let run ?(config = Engine.default_config) sched =
             ignore (Atomic.fetch_and_add st.State.failed_steals 1);
             incr fails;
             if !fails >= probe_attempts then begin
-              backoff := Int.min ((2 * !backoff) + 1) max_backoff;
+              backoff := Int.min ((2 * !backoff) + 1) Engine.max_backoff;
               Engine.relax !backoff
             end
             else Engine.relax !fails

@@ -133,6 +133,10 @@ let relax fruitless =
       Domain.cpu_relax ()
     done
 
+let max_backoff = 1024
+
+let victim_rng config d = Flb_prelude.Rng.create ~seed:(config.seed + (d * 0x9E3779B9))
+
 module State = struct
   type nonrec t = {
     cfg : config;

@@ -144,6 +144,14 @@ val relax : int -> unit
     sleep granularity instead of OS timeslices, while dedicated cores
     never reach the sleep. *)
 
+val max_backoff : int
+(** The cap on a thief's backoff count, {!relax}'s argument after
+    failed steals, in {!Steal} and {!Affinity}. *)
+
+val victim_rng : config -> int -> Flb_prelude.Rng.t
+(** Domain [d]'s victim-choice generator in {!Steal} and {!Affinity},
+    seeded from [config.seed] and [d]. *)
+
 (** {1 Shared run-state plumbing}
 
     Used by {!Static}, {!Steal} and {!Affinity}; not meant for external

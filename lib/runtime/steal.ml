@@ -2,8 +2,6 @@ open! Flb_taskgraph
 module State = Engine.State
 module Rng = Flb_prelude.Rng
 
-let max_backoff = 1024
-
 (* Entry tasks dealt round-robin so every domain has seed work. *)
 let seed ~domains g =
   let deques = Array.init domains (fun _ -> Deque.create ()) in
@@ -21,7 +19,7 @@ let run ?(config = Engine.default_config) g =
   let st = State.create config ~engine:"steal" ~predicted:Float.nan g in
   let deques = seed ~domains:dnum g in
   State.run_team st (fun d ~busy ->
-    let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
+    let rng = Engine.victim_rng config d in
     let backoff = ref 0 in
     (* The hint of a task is the deque it was placed in (its enabling
        domain, or its round-robin seed slot): popping one's own deque is
@@ -60,6 +58,6 @@ let run ?(config = Engine.default_config) g =
             run_one ~slowdown ~hit:false t
           | None ->
             ignore (Atomic.fetch_and_add st.State.failed_steals 1);
-            backoff := Int.min (!backoff + 1) max_backoff;
+            backoff := Int.min (!backoff + 1) Engine.max_backoff;
             Engine.relax !backoff
         end)
