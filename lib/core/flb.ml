@@ -33,7 +33,7 @@ type observer = Schedule.t -> iteration -> unit
    the secondary component holding the negated bottom level or the task id.
    Flat_heap stores both components in unboxed float arrays and breaks
    remaining ties by element id, so the order is total, deterministic, and
-   identical to the historical Indexed_heap over (float * float) keys —
+   identical to the tests' reference Indexed_heap over (float * float) keys —
    without a boxed tuple per push or a polymorphic compare per sift. *)
 type state = {
   (* Operation counters and (optional) phase timings on the shared

@@ -1,7 +1,8 @@
 (** Indexed (addressable) binary min-heap with unboxed two-component
     float keys.
 
-    The allocation-free sibling of {!Indexed_heap}: elements are integer
+    The allocation-free sibling of the tests' reference heap
+    ([test/indexed_heap.ml]): elements are integer
     identifiers from a fixed universe and keys are pairs
     [(primary, secondary)] ordered lexicographically — exactly the
     [(value, tie-break)] keys every scheduler in this repository uses —
@@ -20,7 +21,7 @@
     {!create} is the one-member family with its element array sized by
     the universe up front, so after it no operation allocates.
 
-    Ordering matches {!Indexed_heap} over [(float * float)] keys with
+    Ordering matches the reference heap over [(float * float)] keys with
     [Stdlib.compare]: primary, then secondary, then element id (keys are
     required to be non-NaN; graph weights are validated finite at
     construction). *)

@@ -1,5 +1,4 @@
 open Testutil
-module Indexed_heap = Flb_heap.Indexed_heap
 module Flat_heap = Flb_heap.Flat_heap
 
 (* --- Indexed_heap --- *)
