@@ -26,29 +26,23 @@
 
    Flags (each takes one value; anything else exits 2):
      --clients N       concurrent client connections        (default 4)
-     --requests N      requests per client                  (default 200;
-                       with --stream, streams per client and workload,
-                       default 8)
+     --requests N      requests per client                  (default 200)
      --tasks N         approximate tasks per workload graph (default 150)
      --ports EP1,EP2.. drive external endpoints (HOST:PORT or PORT, e.g.
                        replicated routers) instead of an in-process
                        daemon: each client starts on one and, on a
                        transport error, rotates to the next and retries —
                        a request is dropped only once every endpoint has
-                       failed it; --stream drives the first endpoint
+                       failed it
      --router N        in-process fleet: N backends + router (default 0 = off)
      --hedge MS        hedging comparison: run the in-process fleet
                        twice — hot-shard hedging off, then on with this
                        delay — and print p50/p95/p99 side by side plus
                        the router's hedge-win rate
-     --stream N        streaming mode: N concurrent wire streams
-                       per workload (default 0 = off); each
-                       stream ships its graph in --batches batches and
-                       the run reports placement latency p50/p95/p99
-                       and rounds/sec (see Stream_bench)
-     --batches B       task batches per stream               (default 4)
 
-   Exits 1 on any dropped request or placement. *)
+   Streaming load is perfbench's `stream` workload (perfbench/streaming.ml).
+
+   Exits 1 on any dropped request. *)
 
 module E = Flb_experiments
 module Wire = Flb_service.Wire
@@ -62,8 +56,7 @@ let algo = "FLB"
 let procs = 8
 
 let flags =
-  [ "--clients"; "--requests"; "--tasks"; "--ports"; "--router"; "--hedge";
-    "--stream"; "--batches" ]
+  [ "--clients"; "--requests"; "--tasks"; "--ports"; "--router"; "--hedge" ]
 
 let usage msg =
   Printf.eprintf "loadgen: %s\nflags (each takes a value): %s\n" msg
@@ -265,50 +258,6 @@ let () =
   let endpoints = arg "--ports" parse_ports [] in
   let router_backends = arg "--router" int_of_string_opt 0 in
   let hedge_ms = arg "--hedge" float_of_string_opt 0.0 in
-  let stream_clients = arg "--stream" int_of_string_opt 0 in
-  let batches = arg "--batches" int_of_string_opt 4 in
-
-  if stream_clients > 0 then begin
-    (* --- streaming mode: incremental ingestion over the wire --- *)
-    let repeats = arg "--requests" int_of_string_opt 8 in
-    let server, endpoints = targets endpoints in
-    let host, port = List.hd endpoints in
-    Printf.printf
-      "loadgen: streaming to %s:%d, %d clients x %d streams per workload, %s \
-       on P=%d, %d batches per stream (V ~ %d)\n%!"
-      host port stream_clients repeats algo procs batches tasks;
-    let outcomes =
-      List.map
-        (fun workload ->
-          let graph = E.Workload_suite.instance workload ~ccr:1.0 ~seed:1 in
-          let o =
-            Stream_bench.run ~clients:stream_clients ~repeats ~batches ~graph
-              ~algo ~procs ~host ~port
-          in
-          Stream_bench.print_summary ~label:workload.E.Workload_suite.name o;
-          o)
-        (E.Workload_suite.fig4_suite ~tasks ())
-    in
-    Option.iter Server.stop server;
-    let total f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-    let wall =
-      List.fold_left (fun acc o -> acc +. o.Stream_bench.wall) 0.0 outcomes
-    in
-    let rounds = total (fun o -> o.Stream_bench.rounds) in
-    let dropped = total (fun o -> o.Stream_bench.dropped) in
-    Printf.printf "\n--- streaming aggregate ---\n";
-    Printf.printf "streams ok:  %d (%d dropped)\n"
-      (total (fun o -> o.Stream_bench.streams_ok))
-      dropped;
-    Printf.printf "placements:  %d of %d expected\n"
-      (total (fun o -> o.Stream_bench.placed))
-      (total (fun o -> o.Stream_bench.expected));
-    Printf.printf "rounds:      %d (%.1f rounds/s over %.2f s)\n" rounds
-      (float_of_int rounds /. Float.max wall 1e-9)
-      wall;
-    exit (if dropped > 0 then 1 else 0)
-  end;
-
   let requests = arg "--requests" int_of_string_opt 200 in
   (* The E4 suite: one instance per workload and CCR, serialized once.
      Clients cycle through the pool, so every graph repeats and the
