@@ -238,6 +238,32 @@ let qsuite =
                run.A.execs spans);
   ]
 
+(* The team size [flb analyze] predicts at and [analyze] reports: the
+   highest domain a span or an instant names, unless the dump's meta
+   line counts a domain that recorded nothing. *)
+let test_num_domains () =
+  let parse meta =
+    match
+      A.of_jsonl
+        (A.jsonl_of_times ~meta ~start:[| 0.0; 0.0; 1.0 |] ~finish:[| 1.0; 1.0; 2.0 |]
+           ~exec_domain:[| 0; 2; 1 |] ())
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  check_int "spans on D0-D2" 3 (A.num_domains (parse []));
+  check_int "meta counts an idle D3" 4 (A.num_domains (parse [ ("domains", "4") ]));
+  check_int "a smaller meta count loses" 3 (A.num_domains (parse [ ("domains", "2") ]));
+  let killed =
+    { A.mark_name = "killed"; mark_domain = 5; mark_ts = 0.0; mark_args = [] }
+  in
+  let run = parse [ ("domains", "4") ] in
+  check_int "an instant on D5" 6 (A.num_domains { run with A.marks = [ killed ] });
+  let g = Taskgraph.of_arrays ~comp:[| 1.0; 1.0; 1.0 |] ~edges:[||] in
+  match A.analyze ~graph:g (parse [ ("domains", "4") ]) with
+  | Ok r -> check_int "report's domains" 4 (Array.length r.A.per_domain)
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     Alcotest.test_case "fig1 golden report" `Quick test_fig1_golden;
@@ -254,4 +280,6 @@ let suite =
   @ [
       Alcotest.test_case "real-time trace: messages scaled by unit_ns" `Quick
         test_real_time_comm_scaled;
+      Alcotest.test_case "team size from spans, instants and the meta line" `Quick
+        test_num_domains;
     ]
