@@ -570,20 +570,15 @@ let execute_cmd =
   let trace_out_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write an execution trace with one track per domain (task \
-                   spans, steal/recover/stall/killed instants). A .jsonl \
-                   suffix writes the line-oriented schema $(b,flb analyze) \
-                   reads (also produced in --virtual mode); anything else \
-                   writes a Chrome/Perfetto trace.")
-  in
-  let flight_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "flight-out" ] ~docv:"FILE"
-             ~doc:"Flight-recorder dump file. The recorder always runs \
-                   (fixed-size per-domain rings of recent events) and dumps \
-                   here on kill/stall faults and at run end. Defaults to \
-                   flb-flight.jsonl when --faults is non-empty; readable by \
-                   $(b,flb analyze).")
+             ~doc:"Write the run's event log: one track per domain (task \
+                   spans, steal/recover/stall/killed/resched instants), \
+                   complete and on the run's clock, written at each kill \
+                   and stall and at the end. A .jsonl suffix writes the \
+                   line-oriented schema $(b,flb analyze) reads, led by a \
+                   meta line with the run's unit_ns (--virtual mode writes \
+                   the same schema in weight units); anything else writes \
+                   a Chrome/Perfetto trace. With --faults the log goes to \
+                   flb-flight.jsonl unless this names a file.")
   in
   let metrics_out_arg =
     Arg.(value & opt (some string) None
@@ -592,7 +587,7 @@ let execute_cmd =
                    (.json suffix switches to JSON).")
   in
   let run path engine_s algo domains unit_ns faults_s recover_s no_comm virt seed
-      trace_out flight_out metrics_out =
+      trace_out metrics_out =
     let g = load_graph path in
     let engine =
       match String.lowercase_ascii engine_s with
@@ -697,16 +692,13 @@ let execute_cmd =
       end
     end
     else begin
-      let tracer =
-        if trace_out <> None then Flb_obs.Trace.create () else Flb_obs.Trace.null
-      in
       let registry =
         if metrics_out <> None then Some (Flb_obs.Metrics.create ()) else None
       in
-      (* A faulty run is exactly when a post-mortem is wanted, so the
-         flight recorder dumps somewhere even without --flight-out. *)
+      (* A faulty run is exactly when a post-mortem is wanted, so its
+         event log is written somewhere even without --trace-out. *)
       let flight_path =
-        match flight_out with
+        match trace_out with
         | Some _ as p -> p
         | None -> if faults <> R.Fault.none then Some "flb-flight.jsonl" else None
       in
@@ -718,7 +710,6 @@ let execute_cmd =
           faults;
           recover;
           seed;
-          tracer;
           metrics = registry;
           flight_path;
         }
@@ -736,18 +727,10 @@ let execute_cmd =
             (o.R.Engine.per_domain_busy_ns.(d) /. 1e6)
             (o.R.Engine.per_domain_idle_ns.(d) /. 1e6))
         o.R.Engine.per_domain_tasks;
-      (match trace_out with
-      | None -> ()
-      | Some out ->
-        if Filename.check_suffix out ".jsonl" then
-          Flb_obs.Trace.save_jsonl tracer ~path:out
-        else
-          Flb_obs.Trace.save_chrome tracer ~path:out
-            ~name:(Printf.sprintf "%s on %s (%d domains)" engine_name path domains);
-        Printf.printf "wrote %s\n" out);
-      (match flight_path with
-      | Some out when faults <> R.Fault.none -> Printf.printf "flight recorder dump: %s\n" out
-      | _ -> ());
+      (match (trace_out, flight_path) with
+      | Some out, _ -> Printf.printf "wrote %s\n" out
+      | None, Some out -> Printf.printf "flight recorder dump: %s\n" out
+      | None, None -> ());
       (match (registry, metrics_out) with
       | Some reg, Some out ->
         let open Flb_obs.Metrics in
@@ -766,7 +749,7 @@ let execute_cmd =
     Term.(
       const run $ graph_default_arg $ engine_arg $ algo_arg $ domains_arg
       $ unit_ns_arg $ faults_arg $ recover_arg $ no_comm_arg $ virtual_arg
-      $ seed_arg $ trace_out_arg $ flight_out_arg $ metrics_out_arg)
+      $ seed_arg $ trace_out_arg $ metrics_out_arg)
 
 (* --- serve / request / stats (the flb_service daemon) --- *)
 
@@ -777,25 +760,27 @@ let port_arg =
 
 let host_arg =
   let doc = "Host of the scheduling daemon." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
+  Arg.(value & opt string Flb_service.Server.default_config.host
+       & info [ "host" ] ~docv:"HOST" ~doc)
 
 let serve_cmd =
+  let defaults = Flb_service.Server.default_config in
   let domains_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt int defaults.domains
          & info [ "domains" ] ~docv:"N" ~doc:"Worker domains in the pool.")
   in
   let queue_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt int defaults.queue_capacity
          & info [ "queue-capacity" ] ~docv:"N"
              ~doc:"Bound on queued jobs; beyond it requests are answered \
                    Overloaded.")
   in
   let cache_arg =
-    Arg.(value & opt int 256
+    Arg.(value & opt int defaults.cache_capacity
          & info [ "cache-capacity" ] ~docv:"N" ~doc:"LRU schedule-cache entries.")
   in
   let deadline_arg =
-    Arg.(value & opt float 30.0
+    Arg.(value & opt float defaults.deadline_s
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:"Queueing deadline: jobs waiting longer answer an error \
                    instead of running.")
@@ -810,13 +795,13 @@ let serve_cmd =
                    a debugging mode.")
   in
   let stream_batch_arg =
-    Arg.(value & opt int Flb_stream.Scheduler_loop.default_config.batch_tasks
+    Arg.(value & opt int defaults.stream.batch_tasks
          & info [ "stream-batch-tasks" ] ~docv:"N"
              ~doc:"Streaming: run a scheduling round as soon as a group \
                    has this many pending tasks.")
   in
   let stream_tick_arg =
-    Arg.(value & opt float Flb_stream.Scheduler_loop.default_config.tick_period_s
+    Arg.(value & opt float defaults.stream.tick_period_s
          & info [ "stream-tick" ] ~docv:"SECONDS"
              ~doc:"Streaming: periodic round timer for quiescent groups \
                    with pending work.")
@@ -828,7 +813,7 @@ let serve_cmd =
     in
     let config =
       {
-        Flb_service.Server.default_config with
+        defaults with
         host;
         port;
         domains;
@@ -838,7 +823,7 @@ let serve_cmd =
         tracer;
         stream =
           {
-            Flb_stream.Scheduler_loop.default_config with
+            defaults.stream with
             batch_tasks = stream_batch_tasks;
             tick_period_s = stream_tick;
           };
@@ -1053,24 +1038,24 @@ let route_cmd =
     Arg.(required & opt (some string) None
          & info [ "backends" ] ~docv:"HOST:PORT,..." ~doc)
   in
+  let defaults = Flb_router.Router.default_config in
   let route_port_arg =
     let doc = "TCP port the router listens on." in
-    Arg.(value & opt int Flb_router.Router.default_config.port
-         & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt int defaults.port & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let replication_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt int defaults.replication
          & info [ "replication" ] ~docv:"R"
              ~doc:"Replicas per shard: how many ring members may serve one \
                    graph digest.")
   in
   let split_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt int defaults.split_factor
          & info [ "split-factor" ] ~docv:"S"
              ~doc:"Replica-set multiplier for saturated shards.")
   in
   let vnodes_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt int defaults.vnodes
          & info [ "vnodes" ] ~docv:"N" ~doc:"Ring points per backend.")
   in
   let policy_arg =
@@ -1083,17 +1068,17 @@ let route_cmd =
                    ring; $(b,round-robin) ignores the ring (baseline).")
   in
   let connect_timeout_arg =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt float defaults.connect_timeout_s
          & info [ "connect-timeout" ] ~docv:"SECONDS"
              ~doc:"Backend connect deadline before failing over.")
   in
   let call_timeout_arg =
-    Arg.(value & opt float 10.0
+    Arg.(value & opt float defaults.call_timeout_s
          & info [ "call-timeout" ] ~docv:"SECONDS"
              ~doc:"Per-request backend I/O deadline before failing over.")
   in
   let health_arg =
-    Arg.(value & opt float 2.0
+    Arg.(value & opt float defaults.health_period_s
          & info [ "health-period" ] ~docv:"SECONDS"
              ~doc:"Ping/load-probe cadence against every backend.")
   in
@@ -1104,12 +1089,12 @@ let route_cmd =
                    health and split decisions with.")
   in
   let gossip_arg =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt float defaults.gossip_period_s
          & info [ "gossip-period" ] ~docv:"SECONDS"
              ~doc:"Peer digest-exchange cadence; 0 disables gossip.")
   in
   let fail_threshold_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt int defaults.fail_threshold
          & info [ "fail-threshold" ] ~docv:"K"
              ~doc:"Consecutive probe/call failures before a backend is marked \
                    down (anti-flap hysteresis).")
@@ -1122,7 +1107,7 @@ let route_cmd =
                    the first answer; 0 disables.")
   in
   let warm_keys_arg =
-    Arg.(value & opt int 4
+    Arg.(value & opt int defaults.warm_keys
          & info [ "warm-keys" ] ~docv:"N"
              ~doc:"Hottest shards replayed to a recovering or newly split \
                    replica so it never serves cold; 0 disables cache warming.")
@@ -1150,7 +1135,7 @@ let route_cmd =
     in
     let config =
       {
-        Flb_router.Router.default_config with
+        defaults with
         host;
         port;
         backends;
@@ -1288,7 +1273,10 @@ let analyze_cmd =
   let trace_arg =
     let doc =
       "Trace to analyze: JSONL from $(b,flb execute --trace-out x.jsonl) \
-       (real or --virtual), or a flight-recorder dump."
+       (real or --virtual), or the flb-flight.jsonl a faulted run leaves. \
+       A real run's meta line carries its unit_ns, which brings predicted \
+       times and message weights into the trace's seconds; a trace \
+       without one is read in weight units."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
@@ -1306,18 +1294,10 @@ let analyze_cmd =
              ~doc:"Processors for the predicted schedule; 0 (default) infers \
                    the trace's domain count.")
   in
-  let unit_ns_arg =
-    Arg.(value & opt float 0.0
-         & info [ "unit-ns" ] ~docv:"NS"
-             ~doc:"The run's nanoseconds per weight unit: scales predicted \
-                   times into the trace's seconds. 0 (default) for \
-                   virtual-clock traces, whose timestamps already are weight \
-                   units.")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
-  let run trace_path graph_path algo procs unit_ns json =
+  let run trace_path graph_path algo procs json =
     let g = load_graph graph_path in
     let report =
       match R.Analyze.load trace_path with
@@ -1333,8 +1313,7 @@ let analyze_cmd =
             let procs = if procs > 0 then procs else R.Analyze.num_domains parsed in
             Some (a.Registry.run g (Machine.clique ~num_procs:procs))
         in
-        let scale = if unit_ns > 0.0 then unit_ns /. 1e9 else 1.0 in
-        match R.Analyze.analyze ?schedule ~scale ~graph:g parsed with
+        match R.Analyze.analyze ?schedule ~graph:g parsed with
         | Error msg ->
           prerr_endline ("analysis failed: " ^ msg);
           exit 1
@@ -1350,7 +1329,7 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(const run $ trace_arg $ graph_default_arg $ algo_opt_arg
-          $ procs_opt_arg $ unit_ns_arg $ json_arg)
+          $ procs_opt_arg $ json_arg)
 
 (* --- experiment --- *)
 

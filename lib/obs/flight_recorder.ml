@@ -1,11 +1,11 @@
-(* Always-on flight recorder: one fixed-size ring of recent trace events
-   per domain, recorded unconditionally (unlike Trace.t, which is opt-in
-   per run) and dumped only on fault, panic or demand.
+(* The event log of a real engine run: one fixed-size ring of events per
+   domain, sized by the engine so a run's log never wraps, and written
+   only on fault or at the end of the run.
 
-   The hot path is allocation-free: each domain owns preallocated
-   parallel int/float arrays and a cursor, writes only its own ring, and
-   overwrites its own oldest entries on wrap — no lock, no growth, no
-   boxing. Reads (a dump) may race concurrent writers from other
+   Each domain owns preallocated parallel int/float arrays and a cursor,
+   writes only its own ring, and overwrites its own oldest entries on
+   wrap — no lock, no growth; a call allocates only the boxes of its
+   float arguments. Reads (a dump) may race concurrent writers from other
    domains; a post-mortem snapshot tolerates a torn newest entry. *)
 
 type kind = Task | Steal | Recover | Stall | Killed | Resched
@@ -45,9 +45,7 @@ type t = {
   total : int array; (* events ever recorded; slot [d] written only by [d] *)
 }
 
-let default_capacity = 256
-
-let create ?(capacity = default_capacity) ~domains () =
+let create ~capacity ~domains =
   if capacity < 1 then invalid_arg "Flight_recorder: capacity must be >= 1";
   if domains < 1 then invalid_arg "Flight_recorder: domains must be >= 1";
   {
@@ -91,9 +89,9 @@ let iter t f =
     done
   done
 
-(* Replayed into a Trace so the dump is written in Trace.to_jsonl's line
-   schema, which Analyze reads for live traces and flight dumps alike. *)
-let to_jsonl ?meta t =
+(* One replay serves both formats: Trace writes the JSONL line schema
+   Analyze reads and the Chrome trace-event JSON Perfetto opens. *)
+let to_trace t =
   let trace = Trace.create ~clock:(fun () -> 0.0) () in
   iter t (fun ~domain kind ~ts ~dur ~a ~b ->
       let track = Printf.sprintf "D%d" domain in
@@ -105,10 +103,11 @@ let to_jsonl ?meta t =
       | Stall -> mark [ ("until", b) ]
       | Killed -> mark []
       | Resched -> mark [ ("frontier", float_of_int a); ("latency_ns", b) ]);
-  Trace.to_jsonl ?meta trace
+  trace
 
-let dump ?meta t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ?meta t))
+let to_jsonl ?meta t = Trace.to_jsonl ?meta (to_trace t)
+
+let dump ?meta ?name t ~path =
+  if Filename.check_suffix path ".jsonl" then
+    Out_channel.with_open_text path (fun oc -> output_string oc (to_jsonl ?meta t))
+  else Trace.save_chrome ?name (to_trace t) ~path

@@ -2,6 +2,7 @@ open! Flb_taskgraph
 open! Flb_platform
 module State = Engine.State
 module Rng = Flb_prelude.Rng
+module Flight = Flb_obs.Flight_recorder
 
 (* Consecutive empty-handed probe rounds a thief tolerates before it
    starts backing off — the bounded-attempts discipline of decentralized
@@ -127,12 +128,11 @@ let run ?(config = Engine.default_config) sched =
             else Engine.relax !fails
           | t :: rest as batch ->
             ignore (Atomic.fetch_and_add st.State.steals 1);
-            let args = [ ("task", float_of_int t); ("victim", float_of_int victim) ] in
-            State.trace_instant st ~domain:d ~args "steal";
+            State.record st ~domain:d Flight.Steal ~a:t ~b:(float_of_int victim);
             if State.is_dead st victim then begin
               ignore
                 (Atomic.fetch_and_add st.State.recovered (List.length batch));
-              State.trace_instant st ~domain:d ~args "recover"
+              State.record st ~domain:d Flight.Recover ~a:t ~b:(float_of_int victim)
             end;
             charge_migration batch;
             (* Keep the oldest stolen task for immediate execution and

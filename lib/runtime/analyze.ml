@@ -157,8 +157,17 @@ let num_domains run =
   | _ -> ());
   !m + 1
 
-let analyze ?schedule ?(scale = 1.0) ~graph run =
+(* A real run's meta line carries its nanoseconds per weight unit, which
+   bring weights into the trace's seconds; a virtual-clock trace has
+   none, and its timestamps already are weight units. *)
+let unit_scale run =
+  match Option.bind (List.assoc_opt "unit_ns" run.meta) float_of_string_opt with
+  | Some ns when ns > 0.0 -> ns /. 1e9
+  | _ -> 1.0
+
+let analyze ?schedule ~graph run =
   let n = Taskgraph.num_tasks graph in
+  let scale = unit_scale run in
   let start = Array.make n Float.nan in
   let finish = Array.make n Float.nan in
   let dom = Array.make n (-1) in

@@ -3,10 +3,10 @@ open! Flb_platform
 
 (** Post-mortem makespan attribution.
 
-    Reads a runtime trace — live JSONL, a flight-recorder dump
-    ({!Flb_obs.Flight_recorder.to_jsonl}), or a virtual-clock rendering
-    ({!jsonl_of_times}); {!Flb_obs.Trace.to_jsonl} writes all three in
-    one line schema, and each line is read back exactly by
+    Reads a runtime trace — a real run's event log
+    ({!Flb_obs.Flight_recorder.to_jsonl}) or a virtual-clock rendering
+    ({!jsonl_of_times}); {!Flb_obs.Trace.to_jsonl} writes both in one
+    line schema, and each line is read back exactly by
     {!Flb_prelude.Json.of_string} — and reconstructs what actually
     determined the makespan:
 
@@ -24,9 +24,11 @@ open! Flb_platform
       [(ST, FT)], when one is supplied.
 
     Timestamps are taken as-is, so a virtual-clock trace (weight units)
-    and the schedule's analytic times compare directly; for a real-time
-    trace (seconds) pass [scale] (e.g. [unit_ns /. 1e9]) to bring
-    predictions and edge weights into trace units. *)
+    and the schedule's analytic times compare directly. A real run's
+    trace is in seconds, and its meta line carries the run's [unit_ns]:
+    predictions and edge weights are multiplied by [unit_ns /. 1e9] to
+    bring them into trace units. Without a positive [unit_ns] the
+    factor is 1. *)
 
 (** {1 Parsed runs} *)
 
@@ -102,13 +104,13 @@ type report = {
 
 val analyze :
   ?schedule:Schedule.t ->
-  ?scale:float ->
   graph:Taskgraph.t ->
   run ->
   (report, string) result
-(** [scale] (default 1) multiplies the schedule's times and the edge
-    weights (the messages' times) into trace units. [Error] on an empty
-    run, out-of-range task ids, negative domains or negative durations. *)
+(** The run's [unit_ns] (see above) scales the schedule's times and the
+    edge weights (the messages' times) into trace units. [Error] on an
+    empty run, out-of-range task ids, negative domains or negative
+    durations. *)
 
 val render : report -> string
 (** Human-readable: summary line, the critical path with per-task

@@ -5,6 +5,7 @@ module Snapshot = Flb_reschedule.Snapshot
 module Registry = Flb_reschedule.Registry
 module Reschedule = Flb_reschedule.Reschedule
 module Metrics = Flb_obs.Metrics
+module Flight = Flb_obs.Flight_recorder
 
 let check_recover = function
   | Engine.Resched algo when Option.is_none (Registry.find_resumable algo) ->
@@ -137,13 +138,7 @@ let run ?(config = Engine.default_config) sched =
                  "rt_resched_frontier")
               (float_of_int (Snapshot.frontier_size snap)))
           config.metrics;
-        State.trace_instant st ~domain
-          ~args:
-            [
-              ("latency_ns", dt);
-              ("frontier", float_of_int (Snapshot.frontier_size snap));
-            ]
-          "resched")
+        State.record st ~domain Flight.Resched ~a:(Snapshot.frontier_size snap) ~b:dt)
   in
   let maybe_coordinate d =
     if
@@ -176,7 +171,7 @@ let run ?(config = Engine.default_config) sched =
       fruitless := 0;
       if recovering then begin
         ignore (Atomic.fetch_and_add st.State.recovered 1);
-        State.trace_instant st ~domain:d ~args:[ ("task", float_of_int t) ] "recover"
+        State.record st ~domain:d Flight.Recover ~a:t ~b:(-1.0)
       end;
       (* A recovered task runs on a survivor, away from its scheduled
          placement — the static engine's only source of hint misses. *)

@@ -1,6 +1,7 @@
 open! Flb_taskgraph
 module State = Engine.State
 module Rng = Flb_prelude.Rng
+module Flight = Flb_obs.Flight_recorder
 
 (* Entry tasks dealt round-robin so every domain has seed work. *)
 let seed ~domains g =
@@ -49,11 +50,10 @@ let run ?(config = Engine.default_config) g =
           match Deque.take_front deques.(victim) with
           | Some t ->
             ignore (Atomic.fetch_and_add st.State.steals 1);
-            let args = [ ("task", float_of_int t); ("victim", float_of_int victim) ] in
-            State.trace_instant st ~domain:d ~args "steal";
+            State.record st ~domain:d Flight.Steal ~a:t ~b:(float_of_int victim);
             if State.is_dead st victim then begin
               ignore (Atomic.fetch_and_add st.State.recovered 1);
-              State.trace_instant st ~domain:d ~args "recover"
+              State.record st ~domain:d Flight.Recover ~a:t ~b:(float_of_int victim)
             end;
             run_one ~slowdown ~hit:false t
           | None ->

@@ -20,7 +20,6 @@ type 'a t = {
   hits : Metrics.Counter.t;
   misses : Metrics.Counter.t;
   evictions : Metrics.Counter.t;
-  bypasses : Metrics.Counter.t;
 }
 
 let create ?metrics ~capacity () =
@@ -37,10 +36,6 @@ let create ?metrics ~capacity () =
     evictions =
       Metrics.counter reg ~help:"schedule cache LRU evictions"
         "cache_evictions_total";
-    bypasses =
-      Metrics.counter reg
-        ~help:"requests that skipped the cache (non-cacheable work)"
-        "cache_bypass_total";
   }
 
 (* Both the cache key and the router's shard key hash the request's
@@ -140,13 +135,6 @@ let hits t = Metrics.Counter.value t.hits
 let misses t = Metrics.Counter.value t.misses
 
 let evictions t = Metrics.Counter.value t.evictions
-
-(* Streaming rounds schedule partial graphs: no two rounds see the same
-   key, so a lookup would be a guaranteed miss that only poisons the
-   hit rate. They are accounted here instead, away from hits/misses. *)
-let note_bypass t = Metrics.Counter.incr t.bypasses
-
-let bypasses t = Metrics.Counter.value t.bypasses
 
 let hit_rate t =
   let h = hits t and m = misses t in

@@ -64,15 +64,8 @@ val misses : 'a t -> int
 
 val evictions : 'a t -> int
 
-val note_bypass : 'a t -> unit
-(** Account one non-cacheable request ([cache_bypass_total]) without
-    touching hits or misses. Streaming scheduling rounds use this: a
-    partial graph's key is never seen twice, so looking it up would
-    record a structural miss and dilute {!hit_rate} for traffic the
-    cache was never meant to serve. *)
-
-val bypasses : 'a t -> int
-
 val hit_rate : 'a t -> float
-(** [hits / (hits + misses)], or 0 before any lookup. Bypassed requests
-    do not participate. *)
+(** [hits / (hits + misses)], or 0 before any lookup. Streaming
+    scheduling rounds never look the cache up — a partial graph's key is
+    never seen twice, so a lookup would only record a structural miss —
+    so they do not participate; [stream_rounds_total] counts them. *)

@@ -323,7 +323,6 @@ let stats_json srv =
              [
                ("active", Json.int (Stream_loop.active_streams srv.streams));
                ("rounds", Json.int (Stream_loop.rounds srv.streams));
-               ("bypasses", Json.int (Cache.bypasses srv.cache));
              ] );
          ( "connections",
            Json.Arr (List.map connection (Listener.connections srv.listener)) );
@@ -473,14 +472,7 @@ let handle_request srv ~respond ~trace_id = function
 let start ?metrics config =
   let registry = match metrics with Some r -> r | None -> Metrics.create () in
   let cache = Cache.create ~metrics:registry ~capacity:config.cache_capacity () in
-  let streams =
-    Stream_loop.create ~metrics:registry ~tracer:config.tracer
-      ~on_round:(fun ~streams:_ ~frontier:_ ->
-        (* Partial graphs are never cache hits; account the round as a
-           bypass so streaming traffic leaves the hit rate alone. *)
-        Cache.note_bypass cache)
-      config.stream
-  in
+  let streams = Stream_loop.create ~metrics:registry ~tracer:config.tracer config.stream in
   let listener = Listener.bind ~host:config.host ~port:config.port in
   let srv =
     {

@@ -51,9 +51,9 @@
     trace spans. The listener's accept thread doubles as the round
     timer: its [on_tick] runs at least every 200 ms, which bounds
     timer-tick latency. Streaming rounds never consult the LRU cache —
-    partial graphs cannot repeat — and are accounted as
-    [cache_bypass_total] so [service_cache_hit_rate] stays meaningful
-    for one-shot traffic. *)
+    partial graphs cannot repeat — so [service_cache_hit_rate] stays
+    meaningful for one-shot traffic; [stream_rounds_total] counts
+    them. *)
 
 type config = {
   host : string;  (** Bind address; default ["127.0.0.1"]. *)

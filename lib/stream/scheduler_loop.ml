@@ -90,7 +90,6 @@ type t = {
   mutable total_rounds : int;
   mutable batch_streams : int;
   tracer : Trace.t;
-  on_round : (streams:int -> frontier:int -> unit) option;
   open_total : Metrics.Counter.t;
   rounds_total : Metrics.Counter.t;
   placed_total : Metrics.Counter.t;
@@ -102,7 +101,7 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-let create ?metrics ?(tracer = Trace.null) ?on_round config =
+let create ?metrics ?(tracer = Trace.null) config =
   let reg = match metrics with Some r -> r | None -> Metrics.create () in
   {
     config;
@@ -113,7 +112,6 @@ let create ?metrics ?(tracer = Trace.null) ?on_round config =
     total_rounds = 0;
     batch_streams = 0;
     tracer;
-    on_round;
     open_total =
       Metrics.counter reg ~help:"streams opened" "stream_open_total";
     rounds_total =
@@ -305,10 +303,7 @@ let run_round t g ~at =
     t.batch_streams <- n_streams;
     Metrics.Counter.incr t.rounds_total;
     Metrics.Gauge.set t.frontier_g (float_of_int frontier);
-    Metrics.Gauge.set t.batch_g (float_of_int n_streams);
-    match t.on_round with
-    | Some f -> f ~streams:n_streams ~frontier
-    | None -> ()
+    Metrics.Gauge.set t.batch_g (float_of_int n_streams)
   end
 
 (* Look a stream up and report a poisoned one: the structured cycle

@@ -77,15 +77,9 @@ val error_to_string : error -> string
 
 type t
 
-val create :
-  ?metrics:Flb_obs.Metrics.t ->
-  ?tracer:Flb_obs.Trace.t ->
-  ?on_round:(streams:int -> frontier:int -> unit) ->
-  config ->
-  t
-(** [on_round] fires after every scheduling round with the number of
-    streams merged and the merged frontier size — the service uses it to
-    account cache bypasses without touching hit/miss counters. *)
+val create : ?metrics:Flb_obs.Metrics.t -> ?tracer:Flb_obs.Trace.t -> config -> t
+(** [metrics] receives the [stream_*] series; [stream_rounds_total]
+    counts every scheduling round. *)
 
 val open_stream : t -> algo:string -> procs:int -> (int, error) result
 (** Validates [algo] against {!Flb_reschedule.Registry.find_resumable}

@@ -136,11 +136,11 @@ let test_comm_charged_inference () =
   let r2 = Result.get_ok (A.analyze ~graph:g2 run2) in
   check_bool "uncharged comm detected" false r2.A.comm_charged
 
-(* A real-time trace is in seconds, edge weights in units: with
-   [scale] the analyzer prices each message at weight times scale. The
-   fig1 replay at 200 us per unit, cross-domain starts exactly a scaled
-   message after their sources, reads as charged and names the same
-   critical path and slack as the unit-time trace. *)
+(* A real-time trace is in seconds, edge weights in units: the meta
+   line's unit_ns makes the analyzer price each message at weight times
+   unit_ns / 1e9. The fig1 replay at 200 us per unit, cross-domain
+   starts exactly a scaled message after their sources, reads as charged
+   and names the same critical path and slack as the unit-time trace. *)
 let test_real_time_comm_scaled () =
   let g = Example.fig1 () in
   let sched = E.Registry.flb.E.Registry.run g (Machine.clique ~num_procs:2) in
@@ -150,11 +150,12 @@ let test_real_time_comm_scaled () =
   let run =
     Result.get_ok
       (A.of_jsonl
-         (A.jsonl_of_times ~start:(seconds v.R.Virtual_clock.start)
+         (A.jsonl_of_times ~meta:[ ("unit_ns", "200000") ]
+            ~start:(seconds v.R.Virtual_clock.start)
             ~finish:(seconds v.R.Virtual_clock.finish)
             ~exec_domain:v.R.Virtual_clock.exec_domain ()))
   in
-  let r = Result.get_ok (A.analyze ~schedule:sched ~scale ~graph:g run) in
+  let r = Result.get_ok (A.analyze ~schedule:sched ~graph:g run) in
   check_bool "scaled messages read as charged" true r.A.comm_charged;
   Alcotest.(check (list int)) "same critical path" [ 0; 3; 2; 6; 7 ] r.A.critical_path;
   (match r.A.per_task.(5) with

@@ -297,10 +297,10 @@ let test_trace_context_track () =
 
 let test_flight_recorder_ring () =
   check_raises_invalid "capacity 0" (fun () ->
-      ignore (Flight.create ~capacity:0 ~domains:1 ()));
+      ignore (Flight.create ~capacity:0 ~domains:1));
   check_raises_invalid "domains 0" (fun () ->
-      ignore (Flight.create ~capacity:4 ~domains:0 ()));
-  let fr = Flight.create ~capacity:4 ~domains:2 () in
+      ignore (Flight.create ~capacity:4 ~domains:0));
+  let fr = Flight.create ~capacity:4 ~domains:2 in
   check_int "capacity" 4 (Flight.capacity fr);
   check_int "domains" 2 (Flight.domains fr);
   (* six task events on a ring of four: the two oldest are overwritten *)
@@ -322,7 +322,7 @@ let test_flight_recorder_ring () =
   | [] -> Alcotest.fail "iter saw nothing")
 
 let test_flight_recorder_jsonl () =
-  let fr = Flight.create ~capacity:8 ~domains:2 () in
+  let fr = Flight.create ~capacity:8 ~domains:2 in
   Flight.record fr ~domain:0 Flight.Task ~ts:1.0 ~dur:2.0 ~a:3 ~b:(-1.0);
   Flight.record fr ~domain:0 Flight.Steal ~ts:3.5 ~dur:0.0 ~a:4 ~b:1.0;
   Flight.record fr ~domain:1 Flight.Killed ~ts:4.0 ~dur:0.0 ~a:0 ~b:0.0;

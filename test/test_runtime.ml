@@ -578,19 +578,31 @@ let test_real_slowdown_and_stall () =
   check_bool "complete under slow+stall" true (R.Engine.complete o);
   check_int "nobody died" 0 o.R.Engine.killed
 
+(* Run with an event log at a fresh temporary path and read it back. *)
+let run_logged config run =
+  let path = Filename.temp_file "flb-flight" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let o = run { config with R.Engine.flight_path = Some path } in
+      (o, Result.get_ok (R.Analyze.load path)))
+
 let test_observability () =
   let g = Example.fig1 () in
   let machine = Machine.clique ~num_procs:2 in
   let sched = E.Registry.flb.E.Registry.run g machine in
-  let tracer = Flb_obs.Trace.create () in
   let metrics = Flb_obs.Metrics.create () in
-  let config =
-    { (real_config ()) with R.Engine.tracer; metrics = Some metrics }
-  in
-  let o = R.Static.run ~config sched in
+  let config = { (real_config ()) with R.Engine.metrics = Some metrics } in
+  let o, run = run_logged config (fun config -> R.Static.run ~config sched) in
   check_bool "complete" true (R.Engine.complete o);
-  check_bool "one span per task" true
-    (Flb_obs.Trace.num_events tracer >= Taskgraph.num_tasks g);
+  check_int "one span per task" (Taskgraph.num_tasks g) (List.length run.R.Analyze.execs);
+  (* one track per domain, holding the tasks the schedule placed there *)
+  for d = 0 to 1 do
+    check_int
+      (Printf.sprintf "spans on track D%d" d)
+      (List.length (Schedule.tasks_on sched d))
+      (List.length (List.filter (fun (e : R.Analyze.exec) -> e.domain = d) run.execs))
+  done;
   let open Flb_obs.Metrics in
   check_int "rt_tasks_total" (Taskgraph.num_tasks g)
     (Counter.value (counter metrics "rt_tasks_total"));
@@ -598,12 +610,11 @@ let test_observability () =
     (Gauge.value (gauge metrics "rt_predicted_makespan_units"));
   check_bool "per-domain idle gauges registered" true
     (String.length (to_prometheus metrics) > 0
-    && Gauge.value (gauge metrics "rt_busy_ns_d0") > 0.0);
-  check_bool "track names" true (R.Engine.domain_track 3 = "D3")
+    && Gauge.value (gauge metrics "rt_busy_ns_d0") > 0.0)
 
 let test_real_flight_dump_on_kill () =
-  (* no tracer configured: the always-on flight recorder alone must
-     leave a readable post-mortem behind *)
+  (* the event log a killed run leaves behind is a readable
+     post-mortem *)
   let g = Example.fig1 () in
   let machine = Machine.clique ~num_procs:2 in
   let sched = E.Registry.flb.E.Registry.run g machine in
@@ -643,39 +654,22 @@ let test_real_flight_dump_on_kill () =
         report.R.Analyze.per_domain.(0).R.Analyze.d_tasks));
   Sys.remove path
 
-(* A steal, single or batch, is one [steal] instant in the live trace and
-   the flight dump alike, so Analyze counts every one of them. *)
+(* A steal, single or batch, is one [steal] instant in the run's event
+   log, so Analyze counts every one of them. *)
 let test_steals_traced () =
   let g = Example.fig1 () in
   let sched = E.Registry.flb.E.Registry.run g (Machine.clique ~num_procs:2) in
-  let steals (run : R.Analyze.run) =
-    List.sort compare
-      (List.filter_map
-         (fun (m : R.Analyze.mark) ->
-           if m.mark_name = "steal" then Some (m.mark_domain, m.mark_args) else None)
-         run.marks)
-  in
   List.iter
     (fun (engine, run) ->
-      let path = Filename.temp_file "flb-flight" ".jsonl" in
-      let tracer = Flb_obs.Trace.create () in
       (* Domain 0 dies at once holding fig1's entry task (both engines
          seed it there), so domain 1 must steal at least once. *)
-      let config =
-        { (real_config ~faults:"kill:0:0" ()) with R.Engine.tracer; flight_path = Some path }
-      in
-      let o = run config in
-      let live = Result.get_ok (R.Analyze.of_jsonl (Flb_obs.Trace.to_jsonl tracer)) in
-      let dump = R.Analyze.load path in
-      Sys.remove path;
-      let dump = Result.get_ok dump in
+      let o, dump = run_logged (real_config ~faults:"kill:0:0" ()) run in
       let what = Printf.sprintf "%s: %s" engine in
       check_bool (what "stole at least once") true (o.R.Engine.steals >= 1);
-      check_int (what "live trace steals = outcome steals") o.R.Engine.steals
-        (List.length (steals live));
-      check_bool (what "flight dump names the same steals, same args") true
-        (steals live = steals dump);
-      match R.Analyze.analyze ~graph:g live with
+      check_int (what "dump steals = outcome steals") o.R.Engine.steals
+        (List.length
+           (List.filter (fun (m : R.Analyze.mark) -> m.mark_name = "steal") dump.marks));
+      match R.Analyze.analyze ~graph:g dump with
       | Error e -> Alcotest.fail e
       | Ok report ->
         check_int (what "analyze counts every steal") o.R.Engine.steals
@@ -686,6 +680,53 @@ let test_steals_traced () =
       ("steal", fun config -> R.Steal.run ~config g);
       ("affinity", fun config -> R.Affinity.run ~config sched);
     ]
+
+(* LU V = 405 (the graph [flb gen -w lu -n 400] writes) on two domains,
+   domain 1 killed part-way: the survivor runs its own queue and most of
+   the victim's, well past 256 tasks, each with a recover instant. *)
+let killed_lu_run () =
+  let g =
+    Flb_workloads.Weights.assign (E.Workload_suite.lu ~tasks:400 ()).E.Workload_suite.structure
+      ~rng:(Flb_prelude.Rng.create ~seed:1) ~ccr:1.0
+  in
+  let sched = E.Registry.flb.E.Registry.run g (Machine.clique ~num_procs:2) in
+  let o, run =
+    run_logged (real_config ~faults:"kill:1:60" ()) (fun config -> R.Static.run ~config sched)
+  in
+  check_bool "complete" true (R.Engine.complete o);
+  check_int "domain 1 died" 1 o.R.Engine.killed;
+  check_bool "over 256 tasks on domain 0" true (o.R.Engine.per_domain_tasks.(0) > 256);
+  (g, o, run)
+
+let test_log_holds_every_task () =
+  let g, o, run = killed_lu_run () in
+  match R.Analyze.analyze ~graph:g run with
+  | Error e -> Alcotest.fail e
+  | Ok report ->
+    check_int "every executed task in the log" o.R.Engine.completed report.R.Analyze.executed;
+    Array.iteri
+      (fun d n ->
+        check_int (Printf.sprintf "domain %d's spans" d) n
+          report.R.Analyze.per_domain.(d).R.Analyze.d_tasks)
+      o.R.Engine.per_domain_tasks;
+    check_int "every recover instant" o.R.Engine.recovered
+      report.R.Analyze.per_domain.(0).R.Analyze.d_recovers;
+    check_bool "the victim is flagged" true report.R.Analyze.per_domain.(1).R.Analyze.d_killed
+
+let test_log_one_clock () =
+  let _, _, run = killed_lu_run () in
+  let last_end =
+    List.fold_left (fun m (e : R.Analyze.exec) -> Float.max m e.finish) 0.0 run.R.Analyze.execs
+  in
+  check_bool "a kill and recoveries were logged" true
+    (List.exists (fun (m : R.Analyze.mark) -> m.mark_name = "killed") run.marks
+    && List.exists (fun (m : R.Analyze.mark) -> m.mark_name = "recover") run.marks);
+  List.iter
+    (fun (m : R.Analyze.mark) ->
+      if not (m.mark_ts >= 0.0 && m.mark_ts <= last_end) then
+        Alcotest.failf "%s instant on D%d at %g s, outside [0, %g]" m.mark_name m.mark_domain
+          m.mark_ts last_end)
+    run.marks
 
 let suite =
   [
@@ -749,4 +790,8 @@ let suite =
       test_steals_traced;
     Alcotest.test_case "virtual replays match recorded golden outcomes" `Quick
       test_virtual_golden;
+    Alcotest.test_case "event log holds every task of a killed run" `Quick
+      test_log_holds_every_task;
+    Alcotest.test_case "event log instants lie within the run's spans" `Quick
+      test_log_one_clock;
   ]

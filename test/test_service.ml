@@ -637,7 +637,7 @@ let test_server_stats_schema () =
             | Ok json ->
               let metrics =
                 [
-                  "cache_bypass_total"; "cache_evictions_total"; "cache_hits_total";
+                  "cache_evictions_total"; "cache_hits_total";
                   "cache_misses_total"; "service_cache_entries"; "service_cache_hit_rate";
                   "service_connections_active"; "service_connections_total";
                   "service_errors_total"; "service_graph_parses_total";
@@ -661,7 +661,7 @@ let test_server_stats_schema () =
                     key_section "cache"
                       [ "entries"; "capacity"; "hits"; "misses"; "evictions"; "hit_rate" ];
                     key_section "pool" [ "domains"; "pending"; "queue_capacity" ];
-                    key_section "streams" [ "active"; "rounds"; "bypasses" ];
+                    key_section "streams" [ "active"; "rounds" ];
                     "connections"
                     :: key_fields "connections[]" [ "id"; "peer"; "age_s"; "requests"; "idle_s" ];
                     key_section "metrics" metrics;
@@ -1212,8 +1212,8 @@ let test_server_stream_matches_one_shot () =
 let test_server_stream_cache_bypass () =
   (* Streaming rounds must not touch the LRU: partial-graph keys never
      repeat, so counting them as misses would poison
-     service_cache_hit_rate for one-shot traffic. They are accounted as
-     bypasses instead. *)
+     service_cache_hit_rate for one-shot traffic. They are counted as
+     rounds instead. *)
   let config = { Server.default_config with stream = quiet_stream () } in
   with_server ~config (fun _srv port ->
       with_client port (fun c ->
@@ -1240,9 +1240,9 @@ let test_server_stream_cache_bypass () =
             after.Wire.cache_hit_rate;
           check_int "no cache fills from streaming" before.Wire.cache_entries
             after.Wire.cache_entries;
-          (* the seal's round shows up as a bypass, not a miss *)
+          (* the seal's round shows up as a round, not a miss *)
           match Client.get_stats c ~format:Wire.Stats_json with
-          | Ok s -> check_bool "round counted as bypass" true (contains s "\"bypasses\":1")
+          | Ok s -> check_bool "round counted" true (contains s "\"rounds\":1")
           | Error msg -> Alcotest.fail msg))
 
 let test_server_stream_two_clients_batched () =
